@@ -46,11 +46,12 @@ perf trajectory behind:
   identical);
 * **service** — the what-if HTTP server (``repro.service``) under a
   16-client closed-loop single-scenario barrage: naive per-request
-  facade dispatch (``window=0``, no warm index) against the production
-  serving stack (micro-batch coalescing + the per-artifact lift
-  index), answers asserted bit-identical to direct ``ask_many``, with
-  a contract floor of 3x; also records p50/p99 latency and the
-  coalesced batch-size histogram.
+  dispatch (``window=0``, each scenario lifted by the definitional
+  walk over every group of the cut) against the production serving
+  stack (micro-batch coalescing + the cut's lift index), answers
+  asserted bit-identical to direct ``ask_many``, with a contract floor
+  of 3x; also records p50/p99 latency and the coalesced batch-size
+  histogram.
 
 The JSON document (schema ``repro-bench-core/8``) keys one run entry
 per mode under ``runs`` and merges into an existing file, so the
@@ -82,11 +83,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import platform
 import sys
 import tempfile
+from unittest import mock
 
 from repro.algorithms.greedy import _reference_greedy, greedy_vvs
 from repro.algorithms.optimal import optimal_vvs
@@ -94,7 +98,7 @@ from repro.api.session import ProvenanceSession
 from repro.core import serialize
 from repro.core.abstraction import abstract, abstract_counts
 from repro.core.forest import AbstractionForest
-from repro.core.valuation import Valuation
+from repro.core.valuation import NonUniformError, Valuation
 from repro.options import EvalOptions
 from repro.scenarios.analysis import top_k
 from repro.scenarios.parallel import evaluate_scenarios_parallel
@@ -207,8 +211,8 @@ CHECK_FIELDS = (
     # mmap loads must beat JSON parsing by 10x at compress_scale
     # workload size — the zero-copy container's contract.
     ("artifact_io", "speedup", "higher", 10.0, None),
-    # The serving stack (micro-batch coalescing + the per-artifact warm
-    # lift index) must answer a 16-client single-scenario barrage at
+    # The serving stack (micro-batch coalescing + the cut's lift
+    # index) must answer a 16-client single-scenario barrage at
     # least 3x faster than naive per-request facade dispatch, with
     # bit-identical answers (asserted in the stage).
     ("service", "speedup", "higher", 3.0, None),
@@ -713,6 +717,10 @@ def bench_artifact_io(spec, repeat, seed=31):
         bin_path = artifact.save(os.path.join(tmp, "artifact.rpb"))
         json_bytes = os.path.getsize(json_path)
         bin_bytes = os.path.getsize(bin_path)
+        # Start the loads from a collected heap: a full collection owed
+        # by earlier stages must not land inside one arm's timing (in
+        # --tiny a JSON load lasts ~3 ms, and such a pause is ~25 ms).
+        gc.collect()
         json_seconds, from_json = time_call(
             CompressedProvenance.load, json_path, repeat=repeat
         )
@@ -778,7 +786,69 @@ SERVICE_WINDOW = 0.005
 SERVICE_DEADLINE = 30.0
 
 
-def _host_service(spool, window, warm_lift, max_batch):
+def _walk_is_uniform_on(valuation, vvs):
+    """:meth:`Valuation.is_uniform_on` by its definition: every group."""
+    for label in vvs.labels:
+        group = vvs.group(label)
+        if len(group) <= 1:
+            continue
+        values = {valuation[leaf] for leaf in group}
+        if len(values) > 1:
+            return False
+    return True
+
+
+def _walk_lift(valuation, vvs):
+    """:meth:`Valuation.lift` by its definition: every group."""
+    lifted = dict(valuation.assignment)
+    for label in vvs.labels:
+        group = vvs.group(label)
+        values = {valuation[leaf] for leaf in group}
+        if len(values) > 1:
+            raise NonUniformError(
+                f"leaves of {label!r} receive distinct values {sorted(values)}"
+            )
+        for leaf in group:
+            lifted.pop(leaf, None)
+        (value,) = values
+        if value != valuation.default:
+            lifted[label] = value
+    return Valuation(lifted, default=valuation.default)
+
+
+def _walk_approximate_lift(scenario, vvs, default=1.0):
+    """:func:`approximate_lift` by its definition: every group."""
+    valuation = Valuation.coerce(scenario, default)
+    default = valuation.default
+    lifted = dict(valuation.assignment)
+    for label in vvs.labels:
+        group = vvs.group(label)
+        values = [valuation[leaf] for leaf in group]
+        for leaf in group:
+            lifted.pop(leaf, None)
+        mean = sum(values) / len(values)
+        if mean != default:
+            lifted[label] = mean
+    return Valuation(lifted, default=default)
+
+
+@contextlib.contextmanager
+def _walking_lift():
+    """While active, the three lift operations walk every group of the
+    cut per scenario instead of using its lift index — what a server
+    without the index pays per request (the service stage's naive arm).
+    Answers are unchanged: the stage asserts them bit-identical."""
+    import repro.api.artifact as artifact
+
+    with (
+        mock.patch.object(Valuation, "is_uniform_on", _walk_is_uniform_on),
+        mock.patch.object(Valuation, "lift", _walk_lift),
+        mock.patch.object(artifact, "approximate_lift", _walk_approximate_lift),
+    ):
+        yield
+
+
+def _host_service(spool, window, max_batch):
     """Boot the what-if service on a background event-loop thread.
 
     Returns ``(loop, thread, server)``; stop with :func:`_stop_service`.
@@ -797,7 +867,7 @@ def _host_service(spool, window, warm_lift, max_batch):
 
         async def boot():
             box["server"] = await start_service(
-                spool, window=window, warm_lift=warm_lift,
+                spool, window=window,
                 max_batch=max_batch, deadline=SERVICE_DEADLINE,
             )
 
@@ -890,12 +960,12 @@ def bench_service(spec, repeat, seed=47):
     connections issuing single-scenario asks:
 
     * **uncoalesced** — ``window=0`` (every request is its own batch)
-      and ``warm_lift=False`` (each request pays the facade's full
-      per-scenario lift walk): what a naive one-ask-per-request server
-      does;
+      and the definitional lift (:func:`_walking_lift`: each request
+      walks every group of the cut): what a naive one-ask-per-request
+      server does;
     * **coalesced** — the production configuration: requests landing
       within :data:`SERVICE_WINDOW` of each other merge into one
-      evaluator call, fed by the per-artifact warm lift index.
+      evaluator call, lifted through the cut's lift index.
 
     Reported: wall-clock requests/sec for both arms, p50/p99 request
     latency, the coalesced arm's batch-size histogram, and the gated
@@ -937,16 +1007,16 @@ def bench_service(spec, repeat, seed=47):
 
     arms = {}
     histogram = {}
-    for arm, window, warm_lift in (
-        ("uncoalesced", 0.0, False),
-        ("coalesced", SERVICE_WINDOW, True),
+    for arm, window, lifting in (
+        ("uncoalesced", 0.0, _walking_lift),
+        ("coalesced", SERVICE_WINDOW, contextlib.nullcontext),
     ):
-        with tempfile.TemporaryDirectory() as spool:
+        with tempfile.TemporaryDirectory() as spool, lifting():
             # max_batch = fleet size: a closed-loop round flushes the
             # moment every client's request has arrived, so the window
             # only pads the arrival tail instead of stalling each batch.
             loop, thread, server = _host_service(
-                spool, window, warm_lift, max_batch=clients
+                spool, window, max_batch=clients
             )
             try:
                 artifact_id = server.service.store.put(artifact)

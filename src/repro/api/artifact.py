@@ -19,7 +19,10 @@ Answering is :meth:`~CompressedProvenance.ask` /
 ``True`` exactly when the scenario is uniform on the cut (the lifting
 homomorphism applies — no accuracy lost), ``False`` when the
 group-mean :func:`~repro.scenarios.analysis.approximate_lift` fallback
-answered approximately.
+answered approximately. Lifting goes through the cut's lift index
+(:meth:`~repro.core.forest.ValidVariableSet.lift_index`) in O(changed
+variables); every ask path — these methods, sweeps with
+``transform=artifact.lift``, the CLI and the HTTP service — shares it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.forest import ValidVariableSet
 from repro.core.polynomial import PolynomialSet
-from repro.core.valuation import Valuation
+from repro.core.valuation import NonUniformError, Valuation
 from repro.core import serialize
 from repro.options import resolve_options
 from repro.scenarios.analysis import approximate_lift
@@ -54,6 +57,19 @@ __all__ = ["Answer", "CompressedProvenance"]
 #: One warning per process for the JSON-ignores-mmap fallback (see
 #: :meth:`CompressedProvenance.load`).
 _WARNED_JSON_MMAP = False
+
+
+def _lift(valuation: Valuation, vvs: ValidVariableSet) -> tuple[Valuation, bool]:
+    """``(lifted, exact)``: the exact lift when ``valuation`` is uniform
+    on the cut, the group-mean :func:`approximate_lift` otherwise.
+
+    Uniform valuations cost one pass over the touched groups:
+    :meth:`Valuation.lift` checks uniformity while it lifts.
+    """
+    try:
+        return valuation.lift(vvs), True
+    except NonUniformError:
+        return approximate_lift(valuation, vvs), False
 
 
 @dataclass(frozen=True)
@@ -243,10 +259,7 @@ class CompressedProvenance:
         :func:`~repro.scenarios.analysis.sensitivity`, the CLI
         ``sweep`` subcommand) can run sweeps against an artifact.
         """
-        valuation = Valuation.coerce(scenario, default)
-        if valuation.is_uniform_on(self.vvs):
-            return valuation.lift(self.vvs)
-        return approximate_lift(valuation, self.vvs)
+        return _lift(Valuation.coerce(scenario, default), self.vvs)[0]
 
     def ask(
         self,
@@ -304,20 +317,18 @@ class CompressedProvenance:
             valuation = Valuation.coerce(item, default)
             name = getattr(item, "name", None)
             names.append(str(name) if name is not None else f"scenario-{index}")
-            exact = valuation.is_uniform_on(self.vvs)
+            entry, exact = _lift(valuation, self.vvs)
             exacts.append(exact)
-            if exact:
-                lifted.append(valuation.lift(self.vvs))
-            else:
-                lifted.append(approximate_lift(valuation, self.vvs))
+            lifted.append(entry)
         if not lifted:
             return []
         matrix = evaluate_scenarios(
             self.polynomials, lifted, default=default, options=opts,
         )
+        # float64 rows → tuples of Python floats, converted in C.
         return [
-            Answer(name, tuple(float(v) for v in row), exact)
-            for name, exact, row in zip(names, exacts, matrix, strict=True)
+            Answer(name, tuple(row), exact)
+            for name, exact, row in zip(names, exacts, matrix.tolist(), strict=True)
         ]
 
     # -------------------------------------------------------------- mutation

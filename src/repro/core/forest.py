@@ -10,6 +10,7 @@ leaf variable by its chosen ancestor.
 from __future__ import annotations
 
 from repro.core.tree import AbstractionTree
+from repro.core.valuation import LiftIndex
 from repro.errors import ReproError
 
 __all__ = ["AbstractionForest", "ValidVariableSet", "CompatibilityError"]
@@ -204,12 +205,13 @@ class ValidVariableSet:
     {'b1': 'SB', 'b2': 'SB'}
     """
 
-    __slots__ = ("forest", "labels", "_mapping")
+    __slots__ = ("forest", "labels", "_mapping", "_lift_index")
 
     def __init__(self, forest, labels, _validated=False):
         self.forest = forest
         self.labels = frozenset(labels)
         self._mapping = None
+        self._lift_index = None
         if not _validated:
             self._validate()
 
@@ -265,6 +267,13 @@ class ValidVariableSet:
         """The leaves abstracted by ``label`` (singleton if a leaf)."""
         return self.forest.tree_of(label).leaves_under(label)
 
+    def lift_index(self):
+        """This cut's :class:`~repro.core.valuation.LiftIndex`, built on
+        first use and cached."""
+        if self._lift_index is None:
+            self._lift_index = LiftIndex(self)
+        return self._lift_index
+
     # ------------------------------------------------------------- dunder
 
     def __contains__(self, label):
@@ -288,3 +297,4 @@ class ValidVariableSet:
 
     def __repr__(self):
         return f"VVS({sorted(self.labels)!r})"
+

@@ -342,19 +342,13 @@ def approximate_lift(scenario, vvs, default=1.0):
     the least-squares representative. Exact when the scenario is
     uniform on the group. ``scenario`` may be a :class:`Scenario`, a
     :class:`~repro.core.valuation.Valuation` or a plain mapping.
+
+    Only the groups the scenario touches are averaged, on the cut's
+    :meth:`~repro.core.forest.ValidVariableSet.lift_index`.
     """
     valuation = Valuation.coerce(scenario, default)
-    default = valuation.default
-    lifted = dict(valuation.assignment)
-    for label in vvs.labels:
-        group = vvs.group(label)
-        values = [valuation[leaf] for leaf in group]
-        for leaf in group:
-            lifted.pop(leaf, None)
-        mean = sum(values) / len(values)
-        if mean != default:
-            lifted[label] = mean
-    return Valuation(lifted, default=default)
+    lifted = vvs.lift_index().approximate(valuation.assignment, valuation.default)
+    return Valuation(lifted, default=valuation.default)
 
 
 def scenario_error(polynomials, abstracted, vvs, scenario):

@@ -3,8 +3,11 @@
 A stdlib-only asyncio HTTP server around the compression artifacts —
 ``POST /artifacts`` compresses provenance into a content-addressed
 ``.rpb`` artifact, ``POST /artifacts/{id}/ask`` answers scenarios from
-a warmed, mmap-backed copy, with concurrent single-scenario requests
-micro-batched into one evaluator call. Start it with
+a resident, mmap-backed copy — its evaluator and its cut's lift index
+built on admission, its answers those of
+:meth:`~repro.api.artifact.CompressedProvenance.ask_many` in process —
+with concurrent single-scenario requests micro-batched into one
+evaluator call. Start it with
 ``python -m repro serve`` or :func:`repro.service.app.start_service`.
 
 Lazy exports, same pattern as :mod:`repro` itself — importing the

@@ -16,12 +16,11 @@ Endpoints (all JSON):
   The body carries the new original polynomials as strings
   (``"polynomials"``), plus optional ``"drift_limit"`` and
   ``"options"``. The artifact is maintained under its existing cut
-  (columnar/compiled structures repaired, the warm lift index carried
-  over) and re-spooled; returns ``201`` with the **new** content-hash
-  ``id`` and the unified :class:`~repro.api.mutation.MutationResult`
-  stats (``path``, ``drift``, ``revision``). Drift past the limit maps
-  to ``422`` — the service holds no original provenance to recompress
-  from.
+  (columnar/compiled structures repaired) and re-spooled; returns
+  ``201`` with the **new** content-hash ``id`` and the unified
+  :class:`~repro.api.mutation.MutationResult` stats (``path``,
+  ``drift``, ``revision``). Drift past the limit maps to ``422`` — the
+  service holds no original provenance to recompress from.
 * ``GET /artifacts/{id}`` — the artifact's stats (sizes, losses,
   ``mmap_active``) and residency.
 * ``GET /healthz`` — liveness, store counters, coalescing histogram,
@@ -36,6 +35,7 @@ failures → 500. The mapping lives in :data:`STATUS_OF`.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from typing import TYPE_CHECKING
 
@@ -106,7 +106,6 @@ class WhatIfService:
         window: float = 0.002,
         max_batch: int = 64,
         options: EvalOptions | None = None,
-        warm_lift: bool = True,
         deadline: float | None = None,
         max_pending: int | None = None,
         breaker_threshold: int = 5,
@@ -115,11 +114,6 @@ class WhatIfService:
         self.store = store
         self.batcher = MicroBatcher(window=window, max_batch=max_batch)
         self.options = EvalOptions.coerce(options)
-        #: ``False`` routes asks through the plain facade instead of the
-        #: per-artifact lift index — the service bench's reference arm
-        #: (what a naive server would do per request); answers are
-        #: identical either way.
-        self.warm_lift = bool(warm_lift)
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be > 0, got {deadline}")
         if max_pending is not None and max_pending < 1:
@@ -287,9 +281,7 @@ class WhatIfService:
             result = warm.artifact.refresh(
                 added, drift_limit=drift_limit, options=options
             )
-        # Re-spool under the new content hash; the unchanged cut lets
-        # the warm lift index carry over instead of being rebuilt.
-        new_id = self.store.put(result.artifact, warm_from=warm)
+        new_id = self.store.put(result.artifact)
         self.breaker.record_success(artifact_id)
         return 201, result.with_id(new_id).stats()
 
@@ -304,8 +296,12 @@ class WhatIfService:
         body = _require_object(request.json(), "ask request")
         warm = self._fetch(artifact_id)
         default = body.get("default", 1.0)
-        if not isinstance(default, (int, float)) or isinstance(default, bool):
-            raise HttpError(400, "'default' must be a number")
+        if (
+            not isinstance(default, (int, float))
+            or isinstance(default, bool)
+            or not -math.inf < default < math.inf  # NaN, ±Infinity
+        ):
+            raise HttpError(400, "'default' must be a finite number")
         options = EvalOptions.coerce(body.get("options"))
         if "scenario" in body and "scenarios" in body:
             raise HttpError(400, "pass 'scenario' or 'scenarios', not both")
@@ -362,12 +358,8 @@ class WhatIfService:
         :class:`~repro.errors.EvaluationError` (one 500, not a dropped
         connection per waiter). Outcomes feed the artifact's breaker."""
         try:
-            if self.warm_lift:
-                answers = warm.ask_many(
-                    scenarios, default=default, options=options)
-            else:
-                answers = warm.artifact.ask_many(
-                    scenarios, default=default, options=options)
+            answers = warm.artifact.ask_many(
+                scenarios, default=default, options=options)
         except ReproError:
             if artifact_id is not None:
                 self.breaker.record_failure(artifact_id)
@@ -437,7 +429,6 @@ async def start_service(
     window: float = 0.002,
     max_batch: int = 64,
     options: EvalOptions | None = None,
-    warm_lift: bool = True,
     deadline: float | None = None,
     max_pending: int | None = None,
     breaker_threshold: int = 5,
@@ -447,7 +438,7 @@ async def start_service(
     store = ArtifactStore(spool, capacity=capacity)
     service = WhatIfService(
         store, window=window, max_batch=max_batch, options=options,
-        warm_lift=warm_lift, deadline=deadline, max_pending=max_pending,
+        deadline=deadline, max_pending=max_pending,
         breaker_threshold=breaker_threshold,
         breaker_cooldown=breaker_cooldown,
     )

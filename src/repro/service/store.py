@@ -10,9 +10,10 @@ artifact is a no-op that returns the existing id.
 Serving state is a size-bounded LRU of :class:`~repro.service.warm.\
 WarmArtifact` entries keyed by that hash. Entries are **mmap-backed**:
 evicting one drops Python wrappers and lets the OS reclaim the page
-cache, and re-admitting it is an O(1) re-map plus the warm-index build
-— no deserialization of polynomial objects either way. Hit/miss/
-eviction counters feed ``GET /healthz``.
+cache, and re-admitting it is an O(1) re-map plus building the cut's
+lift index (a fraction of a millisecond) — no deserialization of
+polynomial objects either way. Hit/miss/eviction counters feed
+``GET /healthz``.
 
 The store is crash-safe. Start-up scans the spool: orphaned
 ``mkstemp`` temp files (a writer killed mid-``put``) are reaped, and
@@ -121,12 +122,7 @@ class ArtifactStore:
     #: decode back (torn/corrupted writes), and injected chaos faults.
     _RETRYABLE = (OSError, SerializeError, InjectedFault)
 
-    def put(
-        self,
-        artifact: CompressedProvenance,
-        *,
-        warm_from: WarmArtifact | None = None,
-    ) -> str:
+    def put(self, artifact: CompressedProvenance) -> str:
         """Persist ``artifact`` and return its content-hash id.
 
         The container is written to a temp file in the spool directory,
@@ -138,13 +134,6 @@ class ArtifactStore:
         never surfaces to the client. The stored entry is reloaded
         mmap-backed so the resident copy is the cheap-to-evict one, not
         the builder's object graph.
-
-        :param warm_from: the warm entry the artifact was mutated from
-            (the ``POST /artifacts/{id}/extend`` path). When the cut is
-            unchanged, the new entry is built with
-            :meth:`WarmArtifact.repaired
-            <repro.service.warm.WarmArtifact.repaired>` — the lift
-            index carries over instead of being rebuilt from the tree.
         """
         last_error: BaseException | None = None
         for attempt in range(1, self.retry.attempts + 1):
@@ -161,14 +150,7 @@ class ArtifactStore:
                     self._quarantine(self.path_of(artifact_id))
                     last_error = error
                 else:
-                    if (
-                        warm_from is not None
-                        and warm_from.artifact.vvs.labels == loaded.vvs.labels
-                    ):
-                        entry = warm_from.repaired(loaded)
-                    else:
-                        entry = WarmArtifact(loaded)
-                    self._admit(artifact_id, entry)
+                    self._admit(artifact_id, WarmArtifact(loaded))
                     return artifact_id
             if attempt < self.retry.attempts:
                 time.sleep(self.retry.delay(attempt, "store-put"))

@@ -1,182 +1,52 @@
-"""Per-artifact warm state: the precomputed lift index.
+"""Per-artifact resident state: an artifact warmed for serving.
 
-Profiling the serving path shows the per-scenario cost is *not* the
-batch evaluation (a compiled artifact answers a scenario in ~100µs) but
-the lifting in front of it: :meth:`Valuation.is_uniform_on
-<repro.core.valuation.Valuation.is_uniform_on>` and
-:meth:`~repro.core.valuation.Valuation.lift` each walk
-``vvs.group(label)`` — a tree traversal — for *every* label of the cut,
-per scenario. A long-lived server answering thousands of single-
-scenario requests against the same artifact pays that traversal over
-and over for groups the scenario never touches.
+A request against a resident artifact should pay only for its own
+scenarios. The two lazily built structures an ask needs — the compiled
+batch evaluator on the polynomials and the lift index on the cut
+(:meth:`~repro.core.forest.ValidVariableSet.lift_index`) — are built
+when the store admits the artifact, not on its first request.
 
-:class:`WarmArtifact` hoists everything scenario-independent out of the
-loop, once per artifact:
-
-* the label→group tables (each group as a tuple, in the exact order
-  ``vvs.group`` yields leaves);
-* the inverse leaf→label map, so a scenario's *touched* labels are
-  found in O(changes) instead of O(labels × group);
-* per-``default`` cached means of untouched groups for the approximate
-  path (computed by the same fold :func:`repro.scenarios.analysis.\
-approximate_lift` uses, so the cached float is bit-identical).
-
-:meth:`WarmArtifact.ask_many` then replicates
+Answering and lifting are the facade's own:
 :meth:`CompressedProvenance.ask_many
-<repro.api.artifact.CompressedProvenance.ask_many>` step for step —
-same uniformity decision, same lifted assignments, same evaluator —
-and its answers are **bit-identical** to the facade's (asserted by the
-service bench stage and the property tests). Only the traversals are
-gone.
+<repro.api.artifact.CompressedProvenance.ask_many>` lifts each scenario
+through the cut's index in O(changed variables), the same path every
+in-process caller takes, so served answers are the direct answers.
+:meth:`WarmArtifact.lift_one` and :meth:`WarmArtifact.ask_many` only
+delegate to it; they stay because the end-to-end benchmark's tracer
+(``perfbench/tracing.py``) wraps ``WarmArtifact.__init__`` and
+``lift_one`` by name.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.valuation import Valuation
-
 if TYPE_CHECKING:
     from collections.abc import Iterable
 
     from repro.api.artifact import Answer, CompressedProvenance, ScenarioLike
+    from repro.core.valuation import Valuation
     from repro.options import OptionsLike
 
 __all__ = ["WarmArtifact"]
 
 
 class WarmArtifact:
-    """A :class:`~repro.api.artifact.CompressedProvenance` plus the
-    precomputed serving state the store keeps resident per artifact."""
+    """A :class:`~repro.api.artifact.CompressedProvenance` the store
+    keeps resident, with its evaluator and lift index built."""
 
-    __slots__ = (
-        "artifact",
-        "_groups",
-        "_group_of",
-        "_leaf_to_label",
-        "_untouched_means",
-    )
+    __slots__ = ("artifact",)
 
     def __init__(self, artifact: CompressedProvenance) -> None:
         self.artifact = artifact
-        vvs = artifact.vvs
-        self._groups: tuple = tuple(
-            (label, tuple(vvs.group(label))) for label in vvs.labels
-        )
-        self._group_of: dict = dict(self._groups)
-        self._leaf_to_label: dict = {
-            leaf: label for label, group in self._groups for leaf in group
-        }
-        #: default value -> {label: untouched-group mean} (lazy).
-        self._untouched_means: dict = {}
-        # Warm the compiled evaluator now, not on the first request.
         artifact.polynomials.compiled()
-
-    def repaired(self, artifact: CompressedProvenance) -> WarmArtifact:
-        """A warm entry for ``artifact``, reusing this one's lift index.
-
-        The incremental-extend path: an extended artifact keeps its
-        cut, and every precomputed table here depends only on the cut —
-        the label→group tables, the leaf→label inverse and the cached
-        untouched-group means are all reused as-is (sharing is safe:
-        the tables are read-only and the means cache only ever gains
-        per-default entries both entries would compute identically).
-        Only the compiled evaluator is warmed on the new polynomials —
-        so admitting a repaired artifact skips the per-label tree
-        traversals a cold :class:`WarmArtifact` build pays.
-        """
-        clone = object.__new__(WarmArtifact)
-        clone.artifact = artifact
-        clone._groups = self._groups
-        clone._group_of = self._group_of
-        clone._leaf_to_label = self._leaf_to_label
-        clone._untouched_means = self._untouched_means
-        artifact.polynomials.compiled()
-        return clone
-
-    # ------------------------------------------------------------- lifting
-
-    def _means_for(self, default: float) -> dict:
-        """Mean of an all-``default`` group, per label, cached per default.
-
-        Replicates :func:`~repro.scenarios.analysis.approximate_lift`'s
-        exact fold (``sum([default] * n) / n``) — for most defaults that
-        equals ``default`` and the label is omitted from the lifted
-        assignment, but floating-point summation can drift for some
-        (e.g. ``default=0.1``, ``n=3``), and the warm path must drift
-        identically.
-        """
-        means = self._untouched_means.get(default)
-        if means is None:
-            means = {}
-            for label, group in self._groups:
-                values = [default] * len(group)
-                means[label] = sum(values) / len(values)
-            self._untouched_means[default] = means
-        return means
+        artifact.vvs.lift_index()
 
     def lift_one(self, valuation: Valuation) -> tuple[Valuation, bool]:
-        """``(lifted, exact)`` for one valuation — the facade's per-
-        scenario decision, computed in O(changed variables).
-
-        Bit-identical to ``valuation.lift(vvs)`` when the valuation is
-        uniform on the cut and to ``approximate_lift(valuation, vvs)``
-        otherwise.
-        """
-        assignment = valuation.assignment
-        default = valuation.default
-        # Touched labels, first-touch order (dict preserves insertion).
-        touched: dict = {}
-        for variable in assignment:
-            label = self._leaf_to_label.get(variable)
-            if label is not None:
-                touched[label] = True
-        # Uniformity: untouched groups are all-default, hence uniform;
-        # only touched multi-leaf groups can break it (Valuation.
-        # is_uniform_on skips len<=1 groups the same way).
-        exact = True
-        for label in touched:
-            group = self._group_of[label]
-            if len(group) <= 1:
-                continue
-            first = assignment.get(group[0], default)
-            for leaf in group:
-                if assignment.get(leaf, default) != first:
-                    exact = False
-                    break
-            if not exact:
-                break
-        lifted = dict(assignment)
-        if exact:
-            # Valuation.lift: untouched groups contribute their unique
-            # value `default`, which the `value != default` guard drops
-            # — so only touched groups mutate the assignment.
-            for label in touched:
-                group = self._group_of[label]
-                value = assignment.get(group[0], default)
-                for leaf in group:
-                    lifted.pop(leaf, None)
-                if value != default:
-                    lifted[label] = value
-        else:
-            # approximate_lift walks every label; untouched groups fall
-            # back to the cached all-default mean.
-            means = self._means_for(default)
-            for label, group in self._groups:
-                if label in touched:
-                    values = [
-                        assignment.get(leaf, default) for leaf in group
-                    ]
-                    for leaf in group:
-                        lifted.pop(leaf, None)
-                    mean = sum(values) / len(values)
-                else:
-                    mean = means[label]
-                if mean != default:
-                    lifted[label] = mean
-        return Valuation(lifted, default=default), exact
-
-    # ------------------------------------------------------------ answering
+        """``(lifted, exact)`` for one valuation: the artifact's
+        :meth:`~repro.api.artifact.CompressedProvenance.lift` and
+        :meth:`~repro.api.artifact.CompressedProvenance.supports`."""
+        return self.artifact.lift(valuation), self.artifact.supports(valuation)
 
     def ask_many(
         self,
@@ -185,35 +55,8 @@ class WarmArtifact:
         *,
         options: OptionsLike = None,
     ) -> list[Answer]:
-        """Answer a scenario family — bit-identical to
-        :meth:`CompressedProvenance.ask_many
-        <repro.api.artifact.CompressedProvenance.ask_many>`, with the
-        per-scenario lifting served from the warm index."""
-        from repro.api.artifact import Answer
-        from repro.scenarios.analysis import evaluate_scenarios
-
-        names = []
-        exacts = []
-        lifted = []
-        for index, item in enumerate(scenarios):
-            valuation = Valuation.coerce(item, default)
-            name = getattr(item, "name", None)
-            names.append(
-                str(name) if name is not None else f"scenario-{index}"
-            )
-            entry, exact = self.lift_one(valuation)
-            exacts.append(exact)
-            lifted.append(entry)
-        if not lifted:
-            return []
-        matrix = evaluate_scenarios(
-            self.artifact.polynomials, lifted, default=default,
-            options=options,
-        )
-        return [
-            Answer(name, tuple(float(v) for v in row), exact)
-            for name, exact, row in zip(names, exacts, matrix, strict=True)
-        ]
+        """The artifact's :meth:`~repro.api.artifact.CompressedProvenance.ask_many`."""
+        return self.artifact.ask_many(scenarios, default=default, options=options)
 
     def ask(
         self,
@@ -222,5 +65,5 @@ class WarmArtifact:
         *,
         options: OptionsLike = None,
     ) -> Answer:
-        """Answer one scenario via the warm index (see :meth:`ask_many`)."""
-        return self.ask_many([scenario], default=default, options=options)[0]
+        """The artifact's :meth:`~repro.api.artifact.CompressedProvenance.ask`."""
+        return self.artifact.ask(scenario, default=default, options=options)

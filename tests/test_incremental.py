@@ -465,37 +465,6 @@ class TestRevisionRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Store integration: warm lift index carried over
-# ---------------------------------------------------------------------------
-
-
-class TestWarmRepair:
-    def test_put_warm_from_reuses_lift_index(self, tmp_path):
-        from repro.service.store import ArtifactStore
-
-        base = PolynomialSet([anchor_polynomial()])
-        _, artifact = compress_base(base)
-        store = ArtifactStore(tmp_path / "spool")
-        first_id = store.put(artifact)
-        warm = store.get(first_id)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            result = warm.artifact.refresh(
-                PolynomialSet([Polynomial({Monomial([("f0", 1)]): 1})]),
-                drift_limit=float("inf"),
-            )
-        new_id = store.put(result.artifact, warm_from=warm)
-        assert new_id != first_id
-        repaired = store.get(new_id)
-        assert repaired._groups is warm._groups
-        assert repaired._leaf_to_label is warm._leaf_to_label
-        # Answers through the carried-over index match the plain facade.
-        expected = [a.values for a in repaired.artifact.ask_many(SCENARIOS)]
-        assert [a.values for a in repaired.ask_many(SCENARIOS)] == expected
-
-
-# ---------------------------------------------------------------------------
 # CLI: python -m repro extend
 # ---------------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.api.artifact import CompressedProvenance
 from repro.api.session import ProvenanceSession
 from repro.errors import ArtifactNotFound, SerializeError
 from repro.service.app import start_service
@@ -258,9 +259,9 @@ class TestCoalescing:
         self, tmp_path, monkeypatch
     ):
         """K concurrent single-scenario requests inside the window are
-        answered by exactly one ``WarmArtifact.ask_many`` call."""
+        answered by exactly one ``CompressedProvenance.ask_many`` call."""
         calls = []
-        real_ask_many = WarmArtifact.ask_many
+        real_ask_many = CompressedProvenance.ask_many
 
         def counting_ask_many(self, scenarios, default=1.0, *, options=None):
             scenarios = list(scenarios)
@@ -268,7 +269,8 @@ class TestCoalescing:
             return real_ask_many(
                 self, scenarios, default=default, options=options)
 
-        monkeypatch.setattr(WarmArtifact, "ask_many", counting_ask_many)
+        monkeypatch.setattr(
+            CompressedProvenance, "ask_many", counting_ask_many)
         concurrency = 6
 
         async def scenario(server):
@@ -423,6 +425,27 @@ class TestErrorPaths:
             assert status == 400
             assert body["error"]["status"] == 400
             assert body["error"]["message"]
+
+    def test_non_finite_default_is_400(self, tmp_path):
+        """``json.loads`` accepts ``NaN`` and ``Infinity``; an ask must
+        not, or every NaN ask would add a lift-cache entry."""
+        async def scenario(server):
+            port = server.port
+            status, created = await asyncio.to_thread(
+                call, port, "POST", "/artifacts", artifact_body())
+            ask = f"/artifacts/{created['id']}/ask"
+            replies = []
+            for literal in (b"NaN", b"Infinity", b"-Infinity"):
+                for key in (b'"scenario": {"changes": {"b1": 2.0}}',
+                            b'"scenarios": [{"changes": {"b1": 2.0}}]'):
+                    replies.append(await asyncio.to_thread(
+                        call, port, "POST", ask,
+                        raw=b'{"default": ' + literal + b", " + key + b"}"))
+            return replies
+
+        for status, body in asyncio.run(with_server(scenario)(tmp_path)):
+            assert status == 400
+            assert "finite" in body["error"]["message"]
 
     def test_infeasible_bound_is_422(self, tmp_path):
         async def scenario(server):
@@ -593,7 +616,7 @@ class TestBatcher:
 
 
 class TestWarmArtifact:
-    """The warm lift index is bit-identical to the facade."""
+    """A resident artifact answers bit-identically to the facade."""
 
     def build(self, bound=2):
         session = ProvenanceSession.from_strings(
@@ -603,8 +626,10 @@ class TestWarmArtifact:
         return session.compress(bound, algorithm="greedy")
 
     def test_answers_match_facade(self):
+        # The resident handle builds the cut's lift index on admit; the
+        # twin artifact builds its own lazily, on its first ask.
         artifact = self.build()
-        warm = WarmArtifact(artifact)
+        warm = WarmArtifact(self.build())
         suite = [
             {"b1": 0.5, "b2": 0.5, "b3": 0.5},   # uniform -> exact
             {"b1": 2.0},                          # non-uniform -> approx
