@@ -85,40 +85,83 @@ def aggregate_sum(relation, group_by, value, params=None):
     :param params: optional ``fn(row_dict) -> iterable of variable
         names`` placing scenario variables on this row's contribution
         (may also yield ``(name, exponent)`` pairs).
+
+    Each group's terms accumulate in place, in row order, under the
+    rule of :meth:`Polynomial.__add__`: a monomial's coefficient is
+    summed as it arrives and the monomial is dropped when the sum is
+    0, so the result is the left fold ``c₁ + c₂ + …`` of the rows'
+    contributions term for term. A group whose contributions are all
+    0 keeps its key with the zero polynomial.
     """
-    group_positions = [relation.schema.index(c) for c in group_by]
+    schema = relation.schema
+    group_key = schema.tuple_getter(group_by)
     if isinstance(value, str):
-        value_position = relation.schema.index(value)
+        value_position = schema.index(value)
         extract = None
     else:
-        value_position = None
         extract = value
-
+    columns = schema.columns
+    needs_dict = extract is not None or params is not None
+    monomials = {}  # params(row) as a tuple -> its Monomial
     groups = {}
-    for row, annotation in relation:
-        if extract is None:
-            amount = row[value_position]
-        else:
-            amount = extract(relation.schema.row_to_dict(row))
+    for row, annotation in relation.rows.items():
+        if needs_dict:
+            row_dict = dict(zip(columns, row, strict=True))
+        amount = row[value_position] if extract is None else extract(row_dict)
         if params is None:
             monomial = Monomial.ONE
         else:
-            monomial = Monomial.of(*params(relation.schema.row_to_dict(row)))
-        contribution = _contribution(amount, annotation, monomial)
-        key = tuple(row[p] for p in group_positions)
-        if key in groups:
-            groups[key] = groups[key] + contribution
+            factors = tuple(params(row_dict))
+            try:
+                monomial = monomials.get(factors)
+            except TypeError:  # an unhashable factor: build it every time
+                monomial = None
+            if monomial is None:
+                monomial = Monomial.of(*factors)
+                if _shareable(factors):
+                    monomials[factors] = monomial
+        key = group_key(row)
+        terms = groups.get(key)
+        if isinstance(annotation, Polynomial):
+            contribution = ((annotation * amount) * monomial).terms
+            if terms is None:  # the fold starts from the first contribution
+                groups[key] = contribution
+                continue
         else:
-            groups[key] = contribution
-    return AggregateResult(group_by, groups)
+            # Numeric annotation (bag multiplicity): fold it into the
+            # coefficient.
+            if terms is None:
+                terms = groups[key] = {}
+            coefficient = amount * annotation
+            if coefficient == 0:
+                continue
+            contribution = {monomial: coefficient}
+        for term, coeff in contribution.items():
+            new = terms.get(term, 0) + coeff
+            if new == 0:
+                terms.pop(term, None)
+            else:
+                terms[term] = new
+    return AggregateResult(
+        group_by, {key: Polynomial._raw(terms) for key, terms in groups.items()}
+    )
 
 
-def _contribution(amount, annotation, monomial):
-    """``amount · annotation · monomial`` as a polynomial."""
-    if isinstance(annotation, Polynomial):
-        return (annotation * amount) * monomial
-    # Numeric annotation (bag multiplicity): fold it into the coefficient.
-    return Polynomial({monomial: amount * annotation})
+def _shareable(factors):
+    """Whether ``factors`` may key the monomial cache.
+
+    :meth:`Monomial.of` reads names through ``str`` and exponents
+    through ``int``. A tuple equal to one whose names are all ``str``
+    names the same variables with the same exponents; equal names of
+    other types may print differently (``1 == 1.0``, yet ``"1" !=
+    "1.0"``), so only tuples naming their variables by ``str`` are
+    cached.
+    """
+    return all(
+        type(factor) is str
+        or (type(factor) is tuple and len(factor) == 2 and type(factor[0]) is str)
+        for factor in factors
+    )
 
 
 def evaluate_aggregate(polynomial, assignment, combine=None, default=1.0):

@@ -9,14 +9,21 @@ Annotation propagation follows the semiring model exactly:
 
 Difference/negation is deliberately absent — semirings have no minus,
 which is also why the paper's model covers SPJU (+ aggregates).
+
+Selection, renaming and joins never make two output tuples equal (their
+inputs are K-relations, so duplicate-free), so they fill the output's
+row dict directly; projection and union go through
+:meth:`Relation.add`, which ⊕-combines the tuples that collapse.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.engine.schema import Schema, SchemaError
 from repro.engine.table import Relation
 
-__all__ = ["select", "project", "join", "union", "rename", "extend"]
+__all__ = ["select", "select_rows", "project", "join", "union", "rename", "extend"]
 
 
 def _require_same_semiring(left, right):
@@ -28,10 +35,22 @@ def _require_same_semiring(left, right):
 
 def select(relation, predicate):
     """``σ_predicate`` — keep rows whose dict satisfies ``predicate``."""
+    row_to_dict = relation.schema.row_to_dict
+    return select_rows(relation, lambda row: predicate(row_to_dict(row)))
+
+
+def select_rows(relation, test):
+    """``σ`` over value tuples: keep rows for which ``test(row)`` holds.
+
+    Selection keeps annotations and row order, so the surviving rows
+    are copied as they are. Planners compile predicates against tuple
+    positions and call this directly; :func:`select` wraps a row-dict
+    predicate around it.
+    """
     out = Relation(relation.schema, semiring=relation.semiring, name=relation.name)
-    for row, annotation in relation:
-        if predicate(relation.schema.row_to_dict(row)):
-            out.add(row, annotation)
+    out.rows = {
+        row: annotation for row, annotation in relation.rows.items() if test(row)
+    }
     return out
 
 
@@ -54,8 +73,7 @@ def rename(relation, mapping):
         semiring=relation.semiring,
         name=relation.name,
     )
-    for row, annotation in relation:
-        out.add(row, annotation)
+    out.rows = dict(relation.rows)
     return out
 
 
@@ -102,32 +120,31 @@ def join(left, right, on):
     """
     _require_same_semiring(left, right)
     pairs = _normalize_on(on)
-    left_positions = [left.schema.index(col) for col, _ in pairs]
-    right_positions = [right.schema.index(r) for _, r in pairs]
+    # A one-column key is the value itself: it matches exactly when the
+    # one-tuple would, without building a tuple per row.
+    left_key = itemgetter(*[left.schema.index(col) for col, _ in pairs])
+    right_key = itemgetter(*[right.schema.index(r) for _, r in pairs])
     right_join_cols = {r for _, r in pairs}
-    right_keep = [
-        (position, column)
-        for position, column in enumerate(right.schema.columns)
-        if column not in right_join_cols
-    ]
+    right_kept = right.schema.tuple_getter(
+        [column for column in right.schema.columns if column not in right_join_cols]
+    )
     schema = left.schema.concat(right.schema, drop_from_other=right_join_cols)
 
-    # Hash join: index the smaller side.
+    # Hash join: index the right side by key, keeping only the columns
+    # each match appends to a left row.
     index = {}
-    for row, annotation in right:
-        key = tuple(row[p] for p in right_positions)
-        index.setdefault(key, []).append((row, annotation))
+    for row, annotation in right.rows.items():
+        index.setdefault(right_key(row), []).append((right_kept(row), annotation))
 
-    semiring = left.semiring
-    out = Relation(schema, semiring=semiring)
-    for row, annotation in left:
-        key = tuple(row[p] for p in left_positions)
-        for right_row, right_annotation in index.get(key, ()):
-            combined = semiring.times(annotation, right_annotation)
-            out.add(
-                row + tuple(right_row[p] for p, _ in right_keep),
-                combined,
-            )
+    times = left.semiring.times
+    is_zero = left.semiring.is_zero
+    out = Relation(schema, semiring=left.semiring)
+    rows = out.rows
+    for row, annotation in left.rows.items():
+        for kept, right_annotation in index.get(left_key(row), ()):
+            combined = times(annotation, right_annotation)
+            if not is_zero(combined):
+                rows[row + kept] = combined
     return out
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 __all__ = ["Schema", "SchemaError"]
 
 
@@ -78,6 +80,20 @@ class Schema:
                 "rename one side first"
             )
         return Schema(self.columns + tuple(extra))
+
+    def tuple_getter(self, columns):
+        """A function from a row of this schema to its ``columns`` values.
+
+        >>> Schema(["A", "B", "C"]).tuple_getter(["C", "A"])((1, 2, 3))
+        (3, 1)
+        """
+        positions = [self.index(c) for c in columns]
+        if len(positions) == 1:
+            position = positions[0]
+            return lambda row: (row[position],)
+        if not positions:
+            return lambda row: ()
+        return itemgetter(*positions)
 
     def row_to_dict(self, row):
         """Zip a value tuple with the column names."""

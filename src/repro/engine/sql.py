@@ -21,18 +21,31 @@ Grammar (case-insensitive keywords)::
     expr    := arithmetic over columns, numbers, + - * / and parentheses
     column  := NAME | NAME '.' NAME
 
-Planning is deliberately simple: table-equality predicates drive hash
-joins in FROM order; remaining predicates become selections; a SUM item
-becomes a provenance aggregate (``params`` may be supplied at execution
-time to place scenario variables, exactly like the DSL).
+Planning is deliberately simple and linear in the rows read:
+
+* every predicate that names a single table (a literal filter or a
+  same-table column comparison) filters that table before any join —
+  σ keeps annotations and commutes with ⋈, so this holds in every
+  semiring;
+* equalities between columns of two tables drive hash joins in FROM
+  order;
+* whatever is left (comparisons across tables, literal-only
+  predicates) filters the joined plan;
+* a SUM item becomes a provenance aggregate (``params`` may be
+  supplied at execution time to place scenario variables, exactly like
+  the DSL).
+
+Predicates are compiled against tuple positions, so testing a row
+builds no dict.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 from repro.engine.aggregates import aggregate_sum
-from repro.engine.operators import join, project, rename, select
+from repro.engine.operators import join, project, rename, select_rows
 
 __all__ = ["execute", "parse_sql", "SqlError", "SqlQuery"]
 
@@ -307,21 +320,28 @@ class _Resolver:
 
 
 _COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
+
+
+def _row_test(predicate, resolver, schema):
+    """``predicate`` as a test over value tuples of ``schema``."""
+    compare = _COMPARATORS[predicate.op]
+    left = _operand_getter(predicate.left, resolver, schema)
+    right = _operand_getter(predicate.right, resolver, schema)
+    return lambda row: compare(left(row), right(row))
 
 
 def _operand_getter(operand, resolver, schema):
     kind, value = operand
     if kind == "lit":
         return lambda row: value
-    qualified = resolver.live(value, schema)
-    return lambda row: row[qualified]
+    return operator.itemgetter(schema.index(resolver.live(value, schema)))
 
 
 def _expression_evaluator(node, resolver, schema):
@@ -371,24 +391,7 @@ def execute(text, relations, params=None):
     missing = [t for t in query.tables if t not in relations]
     if missing:
         raise SqlError(f"unknown tables {missing}; have {sorted(relations)}")
-    qualified = {
-        name: _qualify(relations[name], name) for name in query.tables
-    }
     resolver = _Resolver({name: relations[name] for name in query.tables})
-
-    # Split predicates: column=column equalities feed joins, the rest
-    # become selections once both sides' tables are in the plan.
-    equalities = []
-    filters = []
-    for predicate in query.predicates:
-        if (
-            predicate.op == "="
-            and predicate.left[0] == "col"
-            and predicate.right[0] == "col"
-        ):
-            equalities.append(predicate)
-        else:
-            filters.append(predicate)
 
     def tables_of(predicate):
         out = set()
@@ -397,21 +400,51 @@ def execute(text, relations, params=None):
                 out.add(resolver.resolve(operand[1]).split(".", 1)[0])
         return out
 
-    plan = qualified[query.tables[0]]
+    # Classify predicates: single-table ones filter their table first,
+    # column=column equalities across tables feed joins, the rest (and
+    # any predicate naming a table outside FROM) filter the joined plan.
+    local = {name: [] for name in query.tables}
+    equalities = []
+    residual = []
+    for predicate in query.predicates:
+        named = sorted(tables_of(predicate))
+        if len(named) == 1 and named[0] in local:
+            local[named[0]].append(predicate)
+        elif (
+            len(named) > 1
+            and predicate.op == "="
+            and predicate.left[0] == "col"
+            and predicate.right[0] == "col"
+        ):
+            equalities.append(predicate)
+        else:
+            residual.append(predicate)
+
+    scans = {}
+    for name in query.tables:
+        scan = _qualify(relations[name], name)
+        for predicate in local[name]:
+            scan = select_rows(scan, _row_test(predicate, resolver, scan.schema))
+        scans[name] = scan
+
+    plan = scans[query.tables[0]]
     joined = {query.tables[0]}
     remaining_tables = list(query.tables[1:])
     pending_equalities = list(equalities)
     while remaining_tables:
         table_name = remaining_tables.pop(0)
+        right = scans[table_name]
         on = []
         for predicate in list(pending_equalities):
             involved = tables_of(predicate)
             if table_name in involved and involved - {table_name} <= joined:
                 left_ref, right_ref = predicate.left[1], predicate.right[1]
-                left_q = resolver.resolve(left_ref)
-                right_q = resolver.resolve(right_ref)
-                if left_q.split(".", 1)[0] == table_name:
-                    left_q, right_q = right_q, left_q
+                if resolver.resolve(left_ref).split(".", 1)[0] == table_name:
+                    left_ref, right_ref = right_ref, left_ref
+                # The plan side may name a column an earlier join dropped;
+                # ``live`` follows it to the column holding its value.
+                left_q = resolver.live(left_ref, plan.schema)
+                right_q = resolver.live(right_ref, right.schema)
                 on.append((left_q, right_q))
                 pending_equalities.remove(predicate)
         if not on:
@@ -419,7 +452,6 @@ def execute(text, relations, params=None):
                 f"no join condition connects {table_name!r}; "
                 "cartesian products are not supported"
             )
-        right = qualified[table_name]
         plan = join(plan, right, on=on)
         joined.add(table_name)
         # The join drops the right-side join columns; their values live
@@ -427,16 +459,11 @@ def execute(text, relations, params=None):
         for left_q, right_q in on:
             resolver.alias(right_q, left_q)
 
-    # Any equality not consumed (e.g. same-table comparisons) plus the
-    # literal filters become selections over the joined plan.
-    for predicate in pending_equalities + filters:
-        left = _operand_getter(predicate.left, resolver, plan.schema)
-        right = _operand_getter(predicate.right, resolver, plan.schema)
-        comparator = _COMPARATORS[predicate.op]
-        plan = select(
-            plan,
-            lambda row, l=left, r=right, c=comparator: c(l(row), r(row)),
-        )
+    # Equalities never consumed name a table outside FROM; they and the
+    # residual predicates filter the joined plan (``live`` raises a
+    # SqlError for a column not in it).
+    for predicate in pending_equalities + residual:
+        plan = select_rows(plan, _row_test(predicate, resolver, plan.schema))
 
     if query.has_aggregate:
         group_columns = [

@@ -1,5 +1,7 @@
 """Tests for the SQL front-end."""
 
+import math
+
 import pytest
 
 from repro.engine import Relation
@@ -182,3 +184,106 @@ class TestEndToEndProvenance:
             "75.9*y1*m1 + 72.5*y1*m3 + 42*v*m1 + 24.2*v*m3"
         )
         assert result.polynomial((10001,)).almost_equal(expected, 1e-9)
+
+
+def _tpch_params(row):
+    return [
+        f"s{row['lineitem.L_SUPPKEY'] % 16}",
+        f"p{row['lineitem.L_PARTKEY'] % 16}",
+    ]
+
+
+def assert_same_provenance(result, expected):
+    """The same groups and monomials, coefficients within 1e-9 relative.
+
+    Joining in another order sums each coefficient's rows in another
+    order, so floats may differ in the last bits.
+    """
+    assert len(expected) > 0
+    assert result.groups.keys() == expected.groups.keys()
+    for key, polynomial in expected.groups.items():
+        terms = result.groups[key].terms
+        assert terms.keys() == polynomial.terms.keys()
+        for monomial, coefficient in polynomial.terms.items():
+            assert math.isclose(terms[monomial], coefficient, rel_tol=1e-9)
+
+
+class TestJoinPlanning:
+    def test_textbook_q5_order_plans(self, tiny_tpch):
+        """A join condition on a column an earlier join dropped follows
+        its alias to the column holding the value."""
+        textbook = execute(
+            "SELECT N_NAME, SUM(L_EXTENDEDPRICE * (1 - L_DISCOUNT)) "
+            "FROM customer, orders, lineitem, supplier, nation "
+            "WHERE customer.C_CUSTKEY = orders.O_CUSTKEY "
+            "AND lineitem.L_ORDERKEY = orders.O_ORDERKEY "
+            "AND lineitem.L_SUPPKEY = supplier.S_SUPPKEY "
+            "AND customer.C_NATIONKEY = supplier.S_NATIONKEY "
+            "AND supplier.S_NATIONKEY = nation.N_NATIONKEY "
+            "GROUP BY N_NAME",
+            tiny_tpch.tables,
+            params=_tpch_params,
+        )
+        reordered = execute(
+            "SELECT N_NAME, SUM(L_EXTENDEDPRICE * (1 - L_DISCOUNT)) "
+            "FROM lineitem, orders, customer, supplier, nation "
+            "WHERE lineitem.L_ORDERKEY = orders.O_ORDERKEY "
+            "AND orders.O_CUSTKEY = customer.C_CUSTKEY "
+            "AND lineitem.L_SUPPKEY = supplier.S_SUPPKEY "
+            "AND customer.C_NATIONKEY = nation.N_NATIONKEY "
+            "AND supplier.S_NATIONKEY = nation.N_NATIONKEY "
+            "GROUP BY N_NAME",
+            tiny_tpch.tables,
+            params=_tpch_params,
+        )
+        assert_same_provenance(textbook, reordered)
+
+    @pytest.mark.parametrize("order", ["orders, lineitem", "lineitem, orders"])
+    def test_same_table_equality_filters_its_table(self, tiny_tpch, order):
+        """A same-table equality is a filter wherever its table sits in FROM."""
+        where = (
+            "WHERE orders.O_ORDERKEY = lineitem.L_ORDERKEY "
+            "AND lineitem.L_SHIPDATE = lineitem.L_COMMITDATE "
+        )
+        query = (
+            "SELECT O_ORDERPRIORITY, SUM(L_EXTENDEDPRICE) FROM {order} "
+            + where
+            + "GROUP BY O_ORDERPRIORITY"
+        )
+        result = execute(
+            query.format(order=order), tiny_tpch.tables, params=_tpch_params
+        )
+        expected = execute(
+            query.format(order="lineitem, orders"),
+            tiny_tpch.tables,
+            params=_tpch_params,
+        )
+        assert_same_provenance(result, expected)
+        lineitem = tiny_tpch.lineitem
+        shipped, committed = (
+            lineitem.schema.index(c) for c in ("L_SHIPDATE", "L_COMMITDATE")
+        )
+        total = sum(
+            row[lineitem.schema.index("L_EXTENDEDPRICE")]
+            for row, _ in lineitem
+            if row[shipped] == row[committed]
+        )
+        assert sum(result.values().values()) == pytest.approx(total)
+
+    @pytest.mark.parametrize(
+        "tables_and_where",
+        [
+            "Cust WHERE Nope.X = 5",
+            "Cust, Calls WHERE Cust.ID = Calls.CID AND Nope.X = 5",
+            "Cust, Calls WHERE Cust.ID = Calls.CID AND Nope.X = Nope.Y",
+            "Cust, Calls WHERE Cust.ID = Calls.CID AND Nope.X = Calls.CID",
+            "Cust, Calls WHERE Cust.ID = Calls.CID AND Calls.Missing >= 3",
+            "Cust, Calls WHERE Cust.Missing = Calls.CID",
+            "Cust, Calls WHERE Cust.ID = Calls.Missing",
+        ],
+    )
+    def test_column_outside_the_tables_is_a_sql_error(
+        self, relations, tables_and_where
+    ):
+        with pytest.raises(SqlError, match="not available"):
+            execute(f"SELECT Cust.Zip FROM {tables_and_where}", relations)
