@@ -30,15 +30,15 @@ class TooManyCutsError(RuntimeError):
 
 
 def brute_force_vvs(polynomials, forest, bound, *, max_cuts=1_000_000,
-                    clean=True, backend="auto"):
+                    clean=True):
     """Exhaustively find an optimal VVS for ``bound``.
 
     Visits every cut of the forest, keeps the adequate cut
     (``|P↓S|_M ≤ bound``) with minimal variable loss; ties are broken by
     larger monomial loss, then by sorted labels, so the result is
-    deterministic and comparable with the DP's answer. ``backend``
-    selects the per-cut counting engine (see
-    :func:`repro.core.abstraction.abstract_counts`).
+    deterministic and comparable with the DP's answer. Every cut is
+    counted by :func:`repro.core.abstraction.abstract_counts`, so the
+    losses hold on any input, compatible or not.
 
     :raises TooManyCutsError: when ``count_cuts() > max_cuts``.
     :raises InfeasibleBoundError: when no cut is adequate.
@@ -62,9 +62,7 @@ def brute_force_vvs(polynomials, forest, bound, *, max_cuts=1_000_000,
     best_rank = None
     min_size = None
     for vvs in forest.iter_cuts():
-        size, granularity = abstract_counts(
-            polynomials, vvs.mapping(), backend=backend
-        )
+        size, granularity = abstract_counts(polynomials, vvs.mapping())
         if min_size is None or size < min_size:
             min_size = size
         if size > bound:

@@ -12,43 +12,50 @@ cumulative monomial loss is **not** the sum of per-tree losses — merges
 compose across trees (after months collapse into a quarter, the two
 business plans sit in *one* monomial pair instead of two). The
 implementation therefore maintains a *working state*: the polynomials
-abstracted by the current cut, with an inverted variable→monomial index,
-and applies each chosen candidate incrementally. This also matches the
-paper's complexity claim of ``O(n · |P|_M)`` work per candidate
-application.
+abstracted by the current cut, laid out as flat columns over the
+monomial rows of the set's columnar view
+(:mod:`repro.core.columnar`), and applies each chosen candidate
+incrementally.
 
 Tie-breaking: candidates are compared by (minimal incremental VL,
 maximal incremental ML, label) — the ML tie-break reproduces Example 15,
 where ``q1`` (VL 1, ML 7) is preferred over ``SB`` (VL 1, ML 2).
 
 Candidate ranking is *incremental*. Two structural facts make ranks
-cheap to maintain exactly (for compatible inputs, §2.2):
+cheap to maintain exactly (for compatible inputs, §2.2 — checked up
+front):
 
 * a candidate's ΔVL is **constant** from the moment it becomes a
   candidate: merges elsewhere rewrite monomials but never erase a
   selected variable's last occurrence (a rewritten monomial keeps every
   non-member variable, and a collision survivor holds the same ones);
 * a candidate's ΔML equals ``n − d``, where ``n`` counts the monomials
-  holding one of its children and ``d`` counts the distinct *collision
-  classes* ``(polynomial, exponent, residue)`` — two monomials merge
-  under the candidate exactly when the member variable carries the same
-  exponent and the rest of the key (the residue) is identical. Both
-  are plain counters, updated in O(1) per monomial rewrite.
+  holding one of its children and ``d`` counts the distinct *residue
+  groups* among them — two monomials merge under the candidate exactly
+  when they share the polynomial, the member's exponent and the rest
+  of the monomial.
 
 :func:`greedy_vvs` keeps ``(ΔVL, −ΔML, label)`` ranks in a priority
-queue, updates the counters of exactly the candidates whose children
-occur in the monomials a merge touches, and re-ranks those — the same
-cuts as the full per-round rescan, without re-simulating any candidate.
-The literal rescan survives as :func:`_reference_greedy`; property
-tests assert the two produce byte-identical results, and
-``benchmarks/bench_regression.py`` measures the gap.
+queue, updates the group counts of exactly the candidates whose
+children occur in the monomials a merge touches, and re-ranks those —
+the same cuts as the paper's per-round rescan, without re-simulating
+any candidate. The literal rescan lives in ``tests/oracle.py``, and
+the differential suite asserts the two agree step for step.
 """
 
 from __future__ import annotations
 
 import heapq
 
+import numpy
+
 from repro.core.abstraction import ensure_set
+from repro.core.columnar import (
+    gather_ranges,
+    invert_index,
+    run_starts,
+    unique_row_ids,
+)
 from repro.core.forest import AbstractionForest, ValidVariableSet
 from repro.core.interning import VARIABLES
 from repro.core.tree import AbstractionTree
@@ -76,185 +83,8 @@ class GreedyStep:
         )
 
 
-class _WorkingState:
-    """The polynomials under the current cut, updatable in place.
-
-    * ``polys`` — one ``set`` of monomial keys per polynomial, where a
-      key is a tuple of ``(var_id, exponent)`` pairs (sorted by interned
-      id) with leaf variables replaced by their current group
-      representative;
-    * ``index`` — representative/variable id → set of ``(poly, key)``
-      pairs for every monomial the variable occurs in.
-
-    Merging sibling groups into a parent rewrites exactly the indexed
-    monomials; identical rewrites collapse, which is the monomial loss.
-    """
-
-    __slots__ = ("polys", "index")
-
-    def __init__(self, polynomials):
-        self.polys = []
-        self.index = {}
-        for poly_number, polynomial in enumerate(polynomials):
-            keys = set()
-            for monomial in polynomial.monomials:
-                key = monomial.key
-                keys.add(key)
-                for vid, _ in key:
-                    self.index.setdefault(vid, set()).add((poly_number, key))
-            self.polys.append(keys)
-
-    @property
-    def size(self):
-        """``|P↓S|_M`` under the current cut."""
-        return sum(len(keys) for keys in self.polys)
-
-    @property
-    def granularity(self):
-        """``|P↓S|_V`` under the current cut."""
-        return sum(1 for entries in self.index.values() if entries)
-
-    def present(self, variable):
-        """Does ``variable`` occur in the current abstracted polynomials?"""
-        vid = VARIABLES.lookup(variable)
-        return vid is not None and bool(self.index.get(vid))
-
-    def present_id(self, vid):
-        """Id-addressed :meth:`present` (the greedy's hot path)."""
-        return bool(self.index.get(vid))
-
-    def _rewrites(self, group_ids, parent_id):
-        """Yield ``(poly, old_key, new_key)`` for merging the group.
-
-        Forest compatibility guarantees a monomial holds at most one
-        variable of the tree, hence exactly one member of the group.
-        """
-        members = set(group_ids)
-        seen = set()
-        for member in group_ids:
-            for entry in self.index.get(member, ()):
-                if entry in seen:
-                    continue
-                seen.add(entry)
-                poly_number, key = entry
-                new_key = tuple(
-                    sorted(
-                        (parent_id if vid in members else vid, exp)
-                        for vid, exp in key
-                    )
-                )
-                yield poly_number, key, new_key
-
-    def simulate_merge(self, group_ids, parent_id):
-        """Incremental ML of merging the group (no mutation)."""
-        per_poly_old = {}
-        per_poly_new = {}
-        for poly_number, _, new_key in self._rewrites(group_ids, parent_id):
-            per_poly_old[poly_number] = per_poly_old.get(poly_number, 0) + 1
-            per_poly_new.setdefault(poly_number, set()).add(new_key)
-        loss = 0
-        for poly_number, count in per_poly_old.items():
-            survivors = per_poly_new[poly_number]
-            # A rewrite may also collide with an untouched monomial that
-            # already equals the new key (possible only if parent == an
-            # existing variable, which compatibility rules out) — so the
-            # survivor count is just the distinct rewritten keys.
-            loss += count - len(survivors)
-        return loss
-
-    def apply_merge(self, group_ids, parent_id):
-        """Merge the group into the parent; return ``(loss, rewrites)``.
-
-        ``rewrites`` lists ``(poly, old_key, new_key, survived)`` for
-        every touched monomial — ``survived`` is False when the rewrite
-        collided with an already-rewritten sibling (the monomial loss).
-        The caller can replay the list to update derived structures
-        (the greedy's candidate rank counters).
-        """
-        rewrites = []
-        loss = 0
-        for poly_number, old_key, new_key in list(
-            self._rewrites(group_ids, parent_id)
-        ):
-            keys = self.polys[poly_number]
-            keys.discard(old_key)
-            if new_key in keys:
-                loss += 1
-                survived = False
-            else:
-                keys.add(new_key)
-                survived = True
-            rewrites.append((poly_number, old_key, new_key, survived))
-            # Re-index every variable of the rewritten monomial.
-            for vid, _ in old_key:
-                entries = self.index.get(vid)
-                if entries is not None:
-                    entries.discard((poly_number, old_key))
-            for vid, _ in new_key:
-                self.index.setdefault(vid, set()).add((poly_number, new_key))
-        for member in set(group_ids):
-            if member != parent_id:
-                self.index.pop(member, None)
-        return loss, rewrites
-
-
-class _Candidate:
-    """A candidate parent with its incrementally-maintained rank.
-
-    ``delta_vl`` is fixed at creation (see the module docstring);
-    ``delta_ml == n - d`` is kept exact by counting the collision
-    classes of the monomials holding one of the candidate's children:
-    ``counts`` maps ``(poly, exponent, residue)`` — the member's
-    exponent and the key with the member's pair removed — to its
-    multiplicity, ``n`` sums the multiplicities and ``d`` counts the
-    distinct classes.
-    """
-
-    __slots__ = ("label", "children_ids", "delta_vl", "n", "d", "counts")
-
-    def __init__(self, label, children_ids, delta_vl):
-        self.label = label
-        self.children_ids = children_ids
-        self.delta_vl = delta_vl
-        self.n = 0
-        self.d = 0
-        self.counts = {}
-
-    def rank(self):
-        return (self.delta_vl, self.d - self.n, self.label)
-
-    def add_entry(self, poly_number, key, member):
-        self._bump(poly_number, key, member, 1)
-
-    def remove_entry(self, poly_number, key, member):
-        self._bump(poly_number, key, member, -1)
-
-    def _bump(self, poly_number, key, member, sign):
-        for position, (vid, exp) in enumerate(key):
-            if vid == member:
-                cls = (poly_number, exp, key[:position] + key[position + 1:])
-                break
-        else:  # pragma: no cover - index invariant: member occurs in key
-            raise AssertionError("indexed monomial lost its member variable")
-        counts = self.counts
-        if sign > 0:
-            updated = counts.get(cls, 0) + 1
-            counts[cls] = updated
-            self.n += 1
-            if updated == 1:
-                self.d += 1
-        else:
-            updated = counts[cls] - 1
-            if updated:
-                counts[cls] = updated
-            else:
-                del counts[cls]
-                self.d -= 1
-            self.n -= 1
-
-
 def _plan(polynomials, forest, bound, clean):
-    """Normalize the inputs; no working state yet (shared by backends)."""
+    """Normalize the inputs: the set, the cleaned forest, the initial cut."""
     polynomials = ensure_set(polynomials)
     if isinstance(forest, AbstractionTree):
         forest = AbstractionForest([forest])
@@ -277,252 +107,6 @@ def _plan(polynomials, forest, bound, clean):
     return polynomials, forest, selected, trees, candidates
 
 
-def _prepare(polynomials, forest, bound, clean):
-    """Shared setup of the object-path greedy variants."""
-    polynomials, forest, selected, trees, candidates = _plan(
-        polynomials, forest, bound, clean
-    )
-    state = _WorkingState(polynomials)
-    return polynomials, forest, state, selected, trees, candidates
-
-
-def _finish(polynomials, forest, state, selected, trace):
-    vvs = ValidVariableSet(forest, frozenset(selected), _validated=True)
-    size = state.size
-    granularity = state.granularity
-    return AbstractionResult(
-        vvs=vvs,
-        monomial_loss=polynomials.num_monomials - size,
-        variable_loss=polynomials.num_variables - granularity,
-        abstracted_size=size,
-        abstracted_granularity=granularity,
-        trace=trace,
-    )
-
-
-def greedy_vvs(polynomials, forest, bound, *, clean=True, ml_tie_break=True,
-               backend="auto"):
-    """Greedy multi-tree abstraction (Algorithm 2), incremental ranking.
-
-    :param polynomials: a :class:`Polynomial` or :class:`PolynomialSet`.
-    :param forest: an :class:`AbstractionForest` (a single
-        :class:`AbstractionTree` is accepted and wrapped).
-    :param bound: desired maximum number of monomials ``B``.
-    :param clean: apply footnote 1 before running.
-    :param ml_tie_break: break VL ties by each tied candidate's monomial
-        loss, preferring the largest (the Example 15 behaviour).
-        Disabling it breaks ties by label only — no ML bookkeeping at
-        all, possibly more rounds and worse cuts; the ablation benchmark
-        quantifies the trade.
-    :param backend: ``"object"`` runs the dict-of-sets working state
-        below, ``"columnar"`` the flat-array state of
-        :mod:`repro.core.columnar` (identical cuts, traces and losses —
-        only the work schedule differs), ``"auto"`` (the default) picks
-        columnar for large multisets. The columnar state requires
-        forest compatibility (at most one node of each tree per
-        monomial); ``"auto"`` silently falls back to the object path
-        when that fails, an explicit ``"columnar"`` raises.
-
-    Unlike :func:`repro.algorithms.optimal.optimal_vvs`, the greedy
-    never raises for an unreachable bound — it abstracts as far as the
-    forest allows and returns the final cut (check
-    ``result.abstracted_size`` against your bound), mirroring the
-    paper's "while ML(S) < k and C ≠ ∅" loop, which simply terminates
-    when candidates run out.
-
-    Candidate ranks are maintained incrementally (see the module
-    docstring): applying a merge updates the collision counters of
-    exactly the candidates whose children occur in the rewritten
-    monomials, each in O(1) per monomial. The selected cuts, traces and
-    losses are byte-identical to :func:`_reference_greedy` on compatible
-    inputs (§2.2 — at most one variable of a tree per monomial).
-
-    >>> from repro.core.parser import parse_set
-    >>> polys = parse_set(["2*b1*m1 + 3*b1*m3 + 4*b2*m1 + 5*b2*m3"])
-    >>> tree = AbstractionTree.from_nested(("SB", ["b1", "b2"]))
-    >>> result = greedy_vvs(polys, tree, bound=2)
-    >>> sorted(result.vvs.labels), result.abstracted_size
-    (['SB'], 2)
-    """
-    from repro.core.columnar import ColumnarUnsupportedError, resolve_backend
-
-    resolved = resolve_backend(
-        backend, ensure_set(polynomials).num_monomials
-    )
-    if resolved == "columnar":
-        try:
-            return _columnar_greedy(
-                polynomials, forest, bound, clean=clean,
-                ml_tie_break=ml_tie_break,
-            )
-        except ColumnarUnsupportedError:
-            if backend == "columnar":
-                raise
-    return _object_greedy(
-        polynomials, forest, bound, clean=clean, ml_tie_break=ml_tie_break
-    )
-
-
-def _object_greedy(polynomials, forest, bound, *, clean=True, ml_tie_break=True):
-    """The incremental greedy over the dict-of-sets working state."""
-    polynomials, forest, state, selected, trees, initial = _prepare(
-        polynomials, forest, bound, clean
-    )
-    k = polynomials.num_monomials - bound
-    trace = []
-    intern = VARIABLES.intern
-
-    candidates = {}  # label -> _Candidate
-    watchers = {}  # child var id -> the (unique) _Candidate watching it
-    ranks = {}  # label -> rank tuple currently in force
-    heap = []
-
-    def add_candidate(label):
-        ids = tuple(intern(child) for child in trees[label].children(label))
-        present = sum(1 for vid in ids if state.present_id(vid))
-        candidate = _Candidate(label, ids, max(0, present - 1))
-        if ml_tie_break:
-            for vid in ids:
-                for poly_number, key in state.index.get(vid, ()):
-                    candidate.add_entry(poly_number, key, vid)
-        for vid in ids:
-            watchers[vid] = candidate
-        candidates[label] = candidate
-        rank = candidate.rank()
-        ranks[label] = rank
-        heapq.heappush(heap, rank)
-
-    for label in sorted(initial):
-        add_candidate(label)
-
-    cumulative_ml = 0
-    cumulative_vl = 0
-    while cumulative_ml < k and candidates:
-        # Pop until the top entry is in force (stale entries are left
-        # behind whenever a touched candidate was re-ranked).
-        while True:
-            rank = heapq.heappop(heap)
-            label = rank[2]
-            if ranks.get(label) == rank and label in candidates:
-                break
-        delta_vl, _, chosen = rank
-
-        candidate = candidates.pop(chosen)
-        ranks.pop(chosen, None)
-        for vid in candidate.children_ids:
-            watchers.pop(vid, None)
-        loss, rewrites = state.apply_merge(
-            candidate.children_ids, intern(chosen)
-        )
-
-        # Update the collision counters of every candidate watching a
-        # variable of a touched monomial (at most one per tree per
-        # monomial — the parent of the variable the monomial holds).
-        touched = set()
-        if ml_tie_break:
-            for poly_number, old_key, new_key, survived in rewrites:
-                for vid, _ in old_key:
-                    watcher = watchers.get(vid)
-                    if watcher is not None:
-                        watcher.remove_entry(poly_number, old_key, vid)
-                        touched.add(watcher)
-                if survived:
-                    for vid, _ in new_key:
-                        watcher = watchers.get(vid)
-                        if watcher is not None:
-                            watcher.add_entry(poly_number, new_key, vid)
-                            touched.add(watcher)
-
-        children = trees[chosen].children(chosen)
-        selected.difference_update(children)
-        selected.add(chosen)
-        cumulative_ml += loss
-        cumulative_vl += delta_vl
-        trace.append(
-            GreedyStep(chosen, loss, delta_vl, cumulative_ml, cumulative_vl)
-        )
-
-        for watcher in touched:
-            rank = watcher.rank()
-            if rank != ranks[watcher.label]:
-                ranks[watcher.label] = rank
-                heapq.heappush(heap, rank)
-
-        tree = trees[chosen]
-        parent = tree.parent(chosen)
-        if parent is not None and all(
-            child in selected for child in tree.children(parent)
-        ):
-            add_candidate(parent)
-
-    return _finish(polynomials, forest, state, selected, trace)
-
-
-def _reference_greedy(polynomials, forest, bound, *, clean=True, ml_tie_break=True):
-    """The per-round full-rescan greedy (Algorithm 2 as first written).
-
-    Re-ranks and re-simulates *every* candidate each round —
-    O(rounds · |C| · |P|_M). Kept as an executable specification:
-    property tests assert :func:`greedy_vvs` matches it exactly, and the
-    regression benchmark reports the speedup of the incremental version.
-    """
-    polynomials, forest, state, selected, trees, candidates = _prepare(
-        polynomials, forest, bound, clean
-    )
-    k = polynomials.num_monomials - bound
-    trace = []
-    intern = VARIABLES.intern
-
-    cumulative_ml = 0
-    cumulative_vl = 0
-    while cumulative_ml < k and candidates:
-        # rank = (delta_vl, -delta_ml, label): minimal variable loss
-        # first, then maximal monomial loss (Example 15), then label for
-        # determinism ("ties are broken arbitrarily" in the paper).
-        best = None
-        for label in sorted(candidates):
-            children = trees[label].children(label)
-            child_ids = [intern(child) for child in children]
-            present = sum(1 for vid in child_ids if state.present_id(vid))
-            delta_vl = max(0, present - 1)
-            if best is not None and delta_vl > best[0]:
-                continue
-            if ml_tie_break:
-                delta_ml = state.simulate_merge(child_ids, intern(label))
-            else:
-                delta_ml = 0
-            rank = (delta_vl, -delta_ml, label)
-            if best is None or rank < best:
-                best = rank
-        delta_vl, _, chosen = best
-        tree = trees[chosen]
-        children = tree.children(chosen)
-        loss, _ = state.apply_merge(
-            [intern(child) for child in children], intern(chosen)
-        )
-        candidates.discard(chosen)
-        selected.difference_update(children)
-        selected.add(chosen)
-        cumulative_ml += loss
-        cumulative_vl += delta_vl
-        trace.append(
-            GreedyStep(chosen, loss, delta_vl, cumulative_ml, cumulative_vl)
-        )
-        parent = tree.parent(chosen)
-        if parent is not None and all(
-            child in selected for child in tree.children(parent)
-        ):
-            candidates.add(parent)
-
-    return _finish(polynomials, forest, state, selected, trace)
-
-
-
-# ---------------------------------------------------------------------------
-# Columnar backend: the same algorithm over flat factor arrays.
-# ---------------------------------------------------------------------------
-
-
 class _GroupCounts:
     """Sorted ``group id -> alive-row count`` for one active candidate.
 
@@ -540,16 +124,12 @@ class _GroupCounts:
 
     def subtract(self, groups, amounts):
         """Decrement the given (unique, present) groups; return priors."""
-        import numpy
-
         positions = numpy.searchsorted(self.groups[: self.size], groups)
         before = self.counts[positions].copy()
         self.counts[positions] = before - amounts
         return before
 
     def append(self, groups, counts):
-        import numpy
-
         need = self.size + len(groups)
         if need > len(self.groups):
             capacity = max(need, 2 * len(self.groups), 16)
@@ -562,8 +142,29 @@ class _GroupCounts:
         self.size = need
 
 
-def _columnar_greedy(polynomials, forest, bound, *, clean, ml_tie_break):
-    """Algorithm 2 over the columnar working state (identical outputs).
+def greedy_vvs(polynomials, forest, bound, *, clean=True, ml_tie_break=True):
+    """Greedy multi-tree abstraction (Algorithm 2), incremental ranking.
+
+    :param polynomials: a :class:`Polynomial` or :class:`PolynomialSet`.
+    :param forest: an :class:`AbstractionForest` (a single
+        :class:`AbstractionTree` is accepted and wrapped).
+    :param bound: desired maximum number of monomials ``B``.
+    :param clean: apply footnote 1 before running.
+    :param ml_tie_break: break VL ties by each tied candidate's monomial
+        loss, preferring the largest (the Example 15 behaviour).
+        Disabling it breaks ties by label only — no ML bookkeeping at
+        all, possibly more rounds and worse cuts; the ablation benchmark
+        quantifies the trade.
+    :raises CompatibilityError: when a monomial holds a meta-variable
+        of the (cleaned) forest or two nodes of one tree (§2.2
+        conditions 2 and 3) — the losses would be wrong otherwise.
+
+    Unlike :func:`repro.algorithms.optimal.optimal_vvs`, the greedy
+    never raises for an unreachable bound — it abstracts as far as the
+    forest allows and returns the final cut (check
+    ``result.abstracted_size`` against your bound), mirroring the
+    paper's "while ML(S) < k and C ≠ ∅" loop, which simply terminates
+    when candidates run out.
 
     State: per-tree current-variable/exponent columns over the monomial
     rows, a static free-factor signature per row, an ``alive`` mask, and
@@ -587,50 +188,33 @@ def _columnar_greedy(polynomials, forest, bound, *, clean, ml_tie_break):
     * each active candidate keeps a sorted ``group → count`` table of
       its rows; batch departures/arrivals against those tables yield
       the exact ΔML deltas for precisely the candidates watching the
-      touched rows — the columnar counterpart of the object path's
-      per-rewrite collision counters.
+      touched rows.
+
+    >>> from repro.core.parser import parse_set
+    >>> polys = parse_set(["2*b1*m1 + 3*b1*m3 + 4*b2*m1 + 5*b2*m3"])
+    >>> tree = AbstractionTree.from_nested(("SB", ["b1", "b2"]))
+    >>> result = greedy_vvs(polys, tree, bound=2)
+    >>> sorted(result.vvs.labels), result.abstracted_size
+    (['SB'], 2)
     """
-    import numpy
-
-    from repro.core.columnar import (
-        ColumnarUnsupportedError,
-        gather_ranges,
-        invert_index,
-        run_starts,
-        unique_row_ids,
-    )
-
     polynomials, forest, selected, trees, initial = _plan(
         polynomials, forest, bound, clean
     )
     cm = polynomials.columnar()
     num_trees = len(forest.trees)
     intern = VARIABLES.intern
-    for tree in forest.trees:
-        for label in tree.labels:
-            intern(label)
-    num_vars = len(VARIABLES)
+    tree_of, in_tree = cm.tree_columns(forest)
+    num_vars = len(tree_of)
 
-    tree_of = numpy.full(num_vars, -1, dtype=numpy.intp)
     parent_vid = numpy.full(num_vars, -1, dtype=numpy.intp)
-    for index, tree in enumerate(forest.trees):
+    for tree in forest.trees:
         for label, node in tree.nodes.items():
-            vid = intern(label)
-            tree_of[vid] = index
             if node.parent is not None:
-                parent_vid[vid] = intern(node.parent.label)
+                parent_vid[intern(label)] = intern(node.parent.label)
 
     num_rows = cm.num_monomials
     frows = cm.factor_rows()
-    in_tree = tree_of[cm.vids]
     tree_sel = numpy.flatnonzero(in_tree >= 0)
-    if len(tree_sel) and num_trees:
-        membership = frows[tree_sel] * num_trees + in_tree[tree_sel]
-        if len(numpy.unique(membership)) != len(membership):
-            raise ColumnarUnsupportedError(
-                "columnar greedy requires forest compatibility: a monomial "
-                "holds more than one node of one tree"
-            )
 
     # Per-tree current variable/exponent of every row (-1: no variable
     # of that tree) — a merge is a pure column relabel.
@@ -701,7 +285,7 @@ def _columnar_greedy(polynomials, forest, bound, *, clean, ml_tie_break):
         next_group[index] = count
 
     # Candidate bookkeeping: slots are append-only; a chosen candidate
-    # clears its parent-label entry, exactly like the object watchers.
+    # clears its parent-label entry so no row reports to it again.
     slot_label = []
     slot_children = []
     slot_dvl = []
@@ -754,8 +338,7 @@ def _columnar_greedy(polynomials, forest, bound, *, clean, ml_tie_break):
         """``(slot, groups, counts)`` per active watcher among ``rows``.
 
         Groups rows of one tree by the candidate watching their
-        variable (parent active), aggregating duplicate groups — the
-        batched form of the object path's per-entry counter bumps.
+        variable (parent active), aggregating duplicate groups.
         """
         held = var_t[tree_index, rows]
         mask = held >= 0

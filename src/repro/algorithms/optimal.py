@@ -101,7 +101,7 @@ def _combine_children(child_tables, child_labels, k):
     return table
 
 
-def optimal_vvs(polynomials, tree, bound, *, clean=True, backend="auto"):
+def optimal_vvs(polynomials, tree, bound, *, clean=True):
     """Optimal single-tree abstraction (Algorithm 1, optimized).
 
     :param polynomials: a :class:`Polynomial` or :class:`PolynomialSet`.
@@ -110,10 +110,10 @@ def optimal_vvs(polynomials, tree, bound, *, clean=True, backend="auto"):
     :param clean: apply footnote 1 (drop absent leaves, splice
         single-child nodes) before solving; disable only if the tree is
         already clean.
-    :param backend: engine for the :class:`LossIndex` and the final
-        counting pass — ``"object"``, ``"columnar"``, or ``"auto"``
-        (see :mod:`repro.core.columnar`; the DP itself runs over tree
-        nodes either way and the selected cut is identical).
+    :raises CompatibilityError: when a monomial holds a meta-variable
+        of the (cleaned) tree or two of its nodes (§2.2 conditions 2
+        and 3) — single-tree additivity, and with it the DP, needs
+        both.
     :raises InfeasibleBoundError: when even the coarsest cut exceeds
         ``bound``.
 
@@ -131,13 +131,14 @@ def optimal_vvs(polynomials, tree, bound, *, clean=True, backend="auto"):
     if clean:
         tree = tree.clean(polynomials.variables)
     forest = AbstractionForest([tree] if tree is not None else [])
+    polynomials.columnar().tree_columns(forest)
     total_monomials = polynomials.num_monomials
     k = total_monomials - bound
     if tree is None or k <= 0:
         # Nothing to compress (or no usable tree): the identity cut.
-        return _finish(polynomials, forest, forest.leaf_vvs(), backend)
+        return _finish(polynomials, forest, forest.leaf_vvs())
 
-    index = LossIndex(polynomials, tree, backend=backend)
+    index = LossIndex(polynomials, tree)
     if index.max_ml < k:
         raise InfeasibleBoundError(bound, total_monomials - index.max_ml)
 
@@ -184,7 +185,7 @@ def optimal_vvs(polynomials, tree, bound, *, clean=True, backend="auto"):
     labels = set()
     _reconstruct(tree.root, k, tables, labels)
     vvs = ValidVariableSet(forest, frozenset(labels), _validated=True)
-    return _finish(polynomials, forest, vvs, backend)
+    return _finish(polynomials, forest, vvs)
 
 
 def _reconstruct(node, ml_key, tables, out):
@@ -200,8 +201,8 @@ def _reconstruct(node, ml_key, tables, out):
         _reconstruct(children[child_label], child_ml, tables, out)
 
 
-def _finish(polynomials, forest, vvs, backend="auto"):
-    size, granularity = abstract_counts(polynomials, vvs.mapping(), backend=backend)
+def _finish(polynomials, forest, vvs):
+    size, granularity = abstract_counts(polynomials, vvs.mapping())
     return AbstractionResult(
         vvs=vvs,
         monomial_loss=polynomials.num_monomials - size,

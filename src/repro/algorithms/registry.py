@@ -16,12 +16,7 @@ Every registered callable follows the common solver contract
 ``fn(polynomials, forest_or_tree, bound, **kwargs) ->
 :class:`~repro.algorithms.result.AbstractionResult`` (``optimal``
 additionally accepts a one-tree forest, so the uniform call shape
-works for all of them). The facade forwards the compression-engine
-knob as ``backend="object" | "columnar" | "auto"`` (see
-:mod:`repro.core.columnar`) to every solver whose signature can
-receive it (a ``backend`` parameter or ``**kwargs``) — new solvers
-should accept it; legacy solvers without it keep working, they just
-never see the knob.
+works for all of them).
 
 ``"auto"`` is not a registered algorithm but a *policy* resolved by
 :func:`choose`: when the (cleaned) forest is a single tree compatible

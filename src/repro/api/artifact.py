@@ -163,18 +163,12 @@ class CompressedProvenance:
         *,
         algorithm: str,
         bound: int,
-        backend: str = "auto",
     ) -> CompressedProvenance:
-        """Package an :class:`AbstractionResult` computed on ``original``.
-
-        ``backend`` selects the ``P↓S`` materialization engine (see
-        :func:`repro.core.abstraction.abstract`) — the monomial
-        structure is identical either way.
-        """
+        """Package an :class:`AbstractionResult` computed on ``original``."""
         from repro.core.abstraction import abstract
 
         return cls(
-            abstract(original, result.vvs, backend=backend),
+            abstract(original, result.vvs),
             result.vvs.forest,
             result.vvs,
             algorithm=algorithm,
@@ -361,8 +355,7 @@ class CompressedProvenance:
         get the exact recompression fallback.
 
         :param options: an :class:`~repro.options.EvalOptions` (or a
-            mapping of its fields); only ``backend`` applies — it picks
-            the delta-abstraction engine.
+            mapping of its fields), forwarded to the mutation pipeline.
         """
         from repro.api.mutation import extend_artifact
 

@@ -200,7 +200,7 @@ def extend_artifact(
     every original variable is either free — and so survives
     abstraction — or a leaf of the compatibility-checked forest).
     """
-    opts = EvalOptions.coerce(options)
+    EvalOptions.coerce(options)  # validated; no knob steers a mutation
     limit = DEFAULT_DRIFT_LIMIT if drift_limit is None else float(drift_limit)
     if limit < 0:
         raise ValueError(f"{where}: drift_limit must be >= 0, got {limit!r}")
@@ -223,7 +223,7 @@ def extend_artifact(
     # Abstract only the delta under the existing cut. Monomials never
     # merge across polynomials, so |extended↓S|_M is exactly the sum —
     # the drift check needs no materialized extension.
-    delta = abstract(added, artifact.vvs, backend=opts.backend)
+    delta = abstract(added, artifact.vvs)
     size = artifact.polynomials.num_monomials + delta.num_monomials
     drift = max(0, size - bound) / bound
     if drift > limit:

@@ -57,27 +57,6 @@ if TYPE_CHECKING:
 __all__ = ["ProvenanceSession", "as_forest"]
 
 
-def _accepts_backend(solver):
-    """Does ``solver`` take the ``backend=`` knob (directly or **kwargs)?
-
-    Third-party solvers registered before the knob existed keep
-    working: the facade only forwards ``backend`` to callables that can
-    receive it (the built-ins all do). Unintrospectable callables get
-    the forward — the documented contract asks new solvers to accept
-    it.
-    """
-    import inspect
-
-    try:
-        parameters = inspect.signature(solver).parameters.values()
-    except (TypeError, ValueError):
-        return True
-    return any(
-        parameter.kind == parameter.VAR_KEYWORD or parameter.name == "backend"
-        for parameter in parameters
-    )
-
-
 def as_forest(spec: ForestSpec) -> AbstractionForest | None:
     """Normalize a forest specification to an :class:`AbstractionForest`.
 
@@ -273,7 +252,6 @@ class ProvenanceSession:
         self,
         bound: int,
         algorithm: str = registry.AUTO,
-        backend: str | None = None,
         *,
         options: OptionsLike = None,
         **solver_options: object,
@@ -286,25 +264,21 @@ class ProvenanceSession:
             for a single compatible tree, the greedy otherwise (see
             :func:`repro.algorithms.registry.choose`).
         :param options: an :class:`~repro.options.EvalOptions` (or a
-            mapping of its fields); only its ``backend`` knob applies
-            here — ``"object"`` (the reference tuple-walking path),
-            ``"columnar"`` (the vectorized flat-array core of
-            :mod:`repro.core.columnar`), or ``"auto"`` (the default:
-            columnar for large multisets). The selected VVS, the
-            losses and the artifact's monomial structure are identical
-            either way; the knob is forwarded to the solver *and* to
-            the ``P↓S`` materialization.
-        :param backend: deprecated — use ``options=``.
+            mapping of its fields); validated, but none of its knobs
+            steers compression — there is one compression core
+            (:mod:`repro.core.columnar`).
         :param solver_options: forwarded to the solver (e.g.
             ``clean=False``).
         :raises ValueError: when the session has no forest.
+        :raises CompatibilityError: from the greedy and optimal
+            solvers when the provenance breaks the forest's §2.2
+            compatibility (a meta-variable, or two nodes of one tree,
+            in a monomial).
         :raises InfeasibleBoundError: propagated from bound-strict
             solvers (``optimal``/``brute-force``); the greedy instead
             compresses as far as the forest allows.
         """
-        opts = resolve_options(
-            options, where="ProvenanceSession.compress", backend=backend,
-        )
+        EvalOptions.coerce(options)
         if self.forest is None:
             raise ValueError(
                 "this session has no abstraction forest; build one with "
@@ -328,12 +302,9 @@ class ProvenanceSession:
                 )
             else:
                 target = self.forest.trees[0]
-        if _accepts_backend(solver):
-            solver_options = {"backend": opts.backend, **solver_options}
         result = solver(self.polynomials, target, bound, **solver_options)
         return CompressedProvenance.from_result(
             result, self.polynomials, algorithm=name, bound=bound,
-            backend=opts.backend,
         )
 
     # --------------------------------------------------------------- extend
@@ -373,9 +344,8 @@ class ProvenanceSession:
         overshoot that steered the choice.
 
         :param options: an :class:`~repro.options.EvalOptions` (or a
-            mapping of its fields); only ``backend`` applies — it is
-            forwarded to the delta abstraction and, on the fallback
-            path, to :meth:`compress`.
+            mapping of its fields); forwarded to the mutation pipeline
+            and, on the fallback path, to :meth:`compress`.
         :raises CompatibilityError: when ``polynomials`` mention a
             meta-variable of the forest.
         """

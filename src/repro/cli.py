@@ -87,8 +87,7 @@ def _cmd_compress(args):
     forest = _load(args.forest, AbstractionForest)
     session = ProvenanceSession(provenance, forest)
     try:
-        artifact = session.compress(args.bound, algorithm=args.algorithm,
-                                    options=EvalOptions(backend=args.backend))
+        artifact = session.compress(args.bound, algorithm=args.algorithm)
     except InfeasibleBoundError as error:
         raise SystemExit(f"infeasible: {error}") from None
     except ValueError as error:
@@ -122,7 +121,6 @@ def _cmd_extend(args):
 
     artifact = CompressedProvenance.load(args.artifact, mmap=False)
     added = _load(args.added, PolynomialSet)
-    options = EvalOptions(backend=args.backend)
     try:
         if args.provenance:
             # With the originals on hand the drift fallback can run an
@@ -130,13 +128,10 @@ def _cmd_extend(args):
             provenance = _load(args.provenance, PolynomialSet)
             session = ProvenanceSession(provenance, artifact.forest)
             result = session.extend(
-                added, artifact,
-                drift_limit=args.drift_limit, options=options,
+                added, artifact, drift_limit=args.drift_limit,
             )
         else:
-            result = artifact.refresh(
-                added, drift_limit=args.drift_limit, options=options,
-            )
+            result = artifact.refresh(added, drift_limit=args.drift_limit)
     except CompressionError as error:
         raise SystemExit(str(error)) from None
     extended = result.artifact
@@ -448,12 +443,6 @@ def build_parser():
                           default="greedy",
                           help="a registered solver, or 'auto' to pick "
                                "one from the input (default: greedy)")
-    compress.add_argument("--backend", choices=["object", "columnar", "auto"],
-                          default="auto",
-                          help="compression engine: object walks interned "
-                               "tuples, columnar runs the vectorized "
-                               "flat-array core, auto picks by input size "
-                               "(identical cuts and losses; default: auto)")
     compress.add_argument("--output", help="write P↓S here (JSON)")
     compress.add_argument("--vvs-output", help="write the chosen cut here")
     compress.add_argument("--artifact",
@@ -488,9 +477,6 @@ def build_parser():
                         help="bound-overshoot fraction tolerated before "
                              "falling back to recompression "
                              "(default 0.25)")
-    extend.add_argument("--backend", choices=["object", "columnar", "auto"],
-                        default="auto",
-                        help="delta abstraction engine (default: auto)")
     extend.add_argument("--output",
                         help="write the extended artifact here")
     extend.add_argument("--format", choices=["json", "bin", "auto"],

@@ -13,6 +13,13 @@ Central notions:
   ``l₀..l_m`` is then ``Σ_P (Σᵢ|D_P[lᵢ]| − |⋃ᵢ D_P[lᵢ]|)`` — computed
   bottom-up for *all* nodes without re-traversing the polynomials.
 
+Every multiset operation here runs on the set's columnar view
+(:mod:`repro.core.columnar`); a single :class:`Polynomial` abstracts
+through :meth:`Polynomial.substitute
+<repro.core.polynomial.Polynomial.substitute>`, the semiring primitive
+:meth:`ValidVariableSet.apply
+<repro.core.forest.ValidVariableSet.apply>` uses too.
+
 Single-tree additivity (the key insight behind Algorithm 1): because a
 compatible monomial holds at most one variable of the tree, the sets of
 monomials merged by incomparable nodes are disjoint, so ``ML``/``VL`` of
@@ -23,8 +30,11 @@ a working state instead (see :mod:`repro.algorithms.greedy`).
 
 from __future__ import annotations
 
+import numpy
+
+from repro.core.columnar import run_starts, unique_row_ids
 from repro.core.forest import ValidVariableSet
-from repro.core.interning import SENTINEL_ID, VARIABLES
+from repro.core.interning import VARIABLES
 from repro.core.polynomial import Polynomial, PolynomialSet
 
 __all__ = [
@@ -46,33 +56,27 @@ def ensure_set(polynomials):
     raise TypeError(f"expected Polynomial(Set), got {type(polynomials).__name__}")
 
 
-def abstract(polynomials, vvs, backend="auto"):
+def abstract(polynomials, vvs):
     """Compute ``P↓S`` for a polynomial or a multiset of polynomials.
 
-    ``backend`` selects the substitution engine for multisets:
-    ``"object"`` walks the interned tuples monomial by monomial,
-    ``"columnar"`` runs the vectorized id-remap + row-grouping path of
-    :class:`repro.core.columnar.ColumnarMultiset`, ``"auto"`` (the
-    default) picks by multiset size. The monomial structure is
-    count-identical either way; merged *float* coefficients can differ
-    in the last bits between backends (the columnar path sums them in
-    canonical monomial order — exact types are identical).
+    A multiset abstracts by the vectorized id-remap + row-grouping
+    path of :class:`repro.core.columnar.ColumnarMultiset`, which sums
+    merged coefficients in canonical monomial order; a single
+    :class:`Polynomial` through :meth:`Polynomial.substitute
+    <repro.core.polynomial.Polynomial.substitute>`.
     """
     if not isinstance(vvs, ValidVariableSet):
         raise TypeError(f"expected ValidVariableSet, got {type(vvs).__name__}")
     if isinstance(polynomials, PolynomialSet):
-        from repro.core.columnar import resolve_backend
-
-        if resolve_backend(backend, polynomials.num_monomials) == "columnar":
-            id_mapping = VARIABLES.intern_mapping(vvs.mapping())
-            terms = polynomials.columnar().substitute(id_mapping)
-            return PolynomialSet(
-                Polynomial._raw(poly_terms) for poly_terms in terms
-            )
+        id_mapping = VARIABLES.intern_mapping(vvs.mapping())
+        terms = polynomials.columnar().substitute(id_mapping)
+        return PolynomialSet(
+            Polynomial._raw(poly_terms) for poly_terms in terms
+        )
     return polynomials.substitute(vvs.mapping())
 
 
-def losses(polynomials, vvs, backend="auto"):
+def losses(polynomials, vvs):
     """``(ML_P(S), VL_P(S))`` from a single counting pass.
 
     :func:`monomial_loss` and :func:`variable_loss` each run the same
@@ -80,73 +84,34 @@ def losses(polynomials, vvs, backend="auto"):
     both measures should use this combined form.
     """
     polynomials = ensure_set(polynomials)
-    size, granularity = abstract_counts(
-        polynomials, vvs.mapping(), backend=backend
-    )
+    size, granularity = abstract_counts(polynomials, vvs.mapping())
     return (
         polynomials.num_monomials - size,
         polynomials.num_variables - granularity,
     )
 
 
-def monomial_loss(polynomials, vvs, backend="auto"):
+def monomial_loss(polynomials, vvs):
     """``ML_P(S) = |P|_M − |P↓S|_M`` (Example 6: ML(S1)=4, ML(S5)=6)."""
-    return losses(polynomials, vvs, backend=backend)[0]
+    return losses(polynomials, vvs)[0]
 
 
-def variable_loss(polynomials, vvs, backend="auto"):
+def variable_loss(polynomials, vvs):
     """``VL_P(S) = |P|_V − |P↓S|_V`` (Example 6: VL(S1)=2, VL(S5)=3)."""
-    return losses(polynomials, vvs, backend=backend)[1]
+    return losses(polynomials, vvs)[1]
 
 
-def _substituted_key(monomial, id_mapping):
-    """The identity of the substituted monomial as a plain id-key tuple.
-
-    Avoids constructing :class:`Monomial` objects in counting loops;
-    ``id_mapping`` maps interned variable ids to ids.
-    """
-    acc = {}
-    for vid, exp in monomial.key:
-        target = id_mapping.get(vid, vid)
-        acc[target] = acc.get(target, 0) + exp
-    return tuple(sorted(acc.items()))
-
-
-def abstract_counts(polynomials, mapping, backend="auto"):
+def abstract_counts(polynomials, mapping):
     """``(|P↓S|_M, |P↓S|_V)`` without materializing ``P↓S``.
 
     ``mapping`` is a leaf→representative dict as produced by
-    :meth:`repro.core.forest.ValidVariableSet.mapping`. The columnar
-    backend computes the same counts by a vectorized id-remap and exact
-    row grouping (``backend="auto"``, the default, picks it for large
-    multisets); results are identical.
+    :meth:`repro.core.forest.ValidVariableSet.mapping`; the counts come
+    from a vectorized id-remap and exact row grouping over the set's
+    columnar view.
     """
     polynomials = ensure_set(polynomials)
     id_mapping = VARIABLES.intern_mapping(mapping)
-    from repro.core.columnar import resolve_backend
-
-    if resolve_backend(backend, polynomials.num_monomials) == "columnar":
-        return polynomials.columnar().substituted_counts(id_mapping)
-    mapped = set(id_mapping)
-    total_monomials = 0
-    variables = set()
-    for polynomial in polynomials:
-        if mapped.isdisjoint(polynomial.variable_ids()):
-            # Untouched polynomial: counts are the originals.
-            total_monomials += polynomial.num_monomials
-            variables.update(polynomial.variable_ids())
-            continue
-        keys = set()
-        for monomial in polynomial.monomials:
-            key = monomial.key
-            if not mapped.isdisjoint(vid for vid, _ in key):
-                key = _substituted_key(monomial, id_mapping)
-            keys.add(key)
-        total_monomials += len(keys)
-        for key in keys:
-            for vid, _ in key:
-                variables.add(vid)
-    return total_monomials, len(variables)
+    return polynomials.columnar().substituted_counts(id_mapping)
 
 
 class LossIndex:
@@ -181,88 +146,8 @@ class LossIndex:
 
     __slots__ = ("tree", "_ml", "_vl", "_present", "_leaf_count")
 
-    def __init__(self, polynomials, tree, backend="auto"):
-        polynomials = ensure_set(polynomials)
-        self.tree = tree
-        self._ml = {}
-        self._vl = {}
-        self._present = {}
-        self._leaf_count = {}
-        from repro.core.columnar import resolve_backend
-
-        if resolve_backend(backend, polynomials.num_monomials) == "columnar":
-            self._build_columnar(polynomials, tree)
-            return
-        # Interned view of the leaf alphabet; residual keys replace the
-        # (unique, by compatibility) tree variable with SENTINEL_ID.
-        leaf_of_id = {
-            VARIABLES.intern(label): label for label in tree.leaf_labels
-        }
-        residuals = {leaf: {} for leaf in tree.leaf_labels}
-        for poly_index, polynomial in enumerate(polynomials):
-            for monomial in polynomial.monomials:
-                leaf = None
-                leaf_id = None
-                for vid, _ in monomial.key:
-                    label = leaf_of_id.get(vid)
-                    if label is not None:
-                        leaf, leaf_id = label, vid
-                        break  # compatibility: at most one per monomial
-                if leaf is None:
-                    continue
-                key = _substituted_key(monomial, {leaf_id: SENTINEL_ID})
-                residuals[leaf].setdefault(poly_index, set()).add(key)
-        self._build(tree.root, residuals)
-
-    def _build(self, root, residuals):
-        # Iterative post-order traversal; merged residual dicts flow up.
-        merged = {}  # label -> {poly -> set}, deleted once consumed by parent
-        totals = {}  # label -> Σ|D_P[l]| over leaves below
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not expanded:
-                stack.append((node, True))
-                for child in node.children:
-                    stack.append((child, False))
-                continue
-            label = node.label
-            if node.is_leaf:
-                per_poly = residuals.get(label, {})
-                total = sum(len(keys) for keys in per_poly.values())
-                merged[label] = per_poly
-                totals[label] = total
-                self._ml[label] = 0
-                self._present[label] = 1 if total else 0
-                self._leaf_count[label] = 1
-            else:
-                union = {}
-                total = 0
-                present = 0
-                leaf_count = 0
-                for child in node.children:
-                    child_sets = merged.pop(child.label)
-                    total += totals.pop(child.label)
-                    present += self._present[child.label]
-                    leaf_count += self._leaf_count[child.label]
-                    for poly_index, keys in child_sets.items():
-                        existing = union.get(poly_index)
-                        if existing is None:
-                            union[poly_index] = keys
-                        else:
-                            if len(existing) < len(keys):
-                                union[poly_index], keys = keys, existing
-                            union[poly_index].update(keys)
-                distinct = sum(len(keys) for keys in union.values())
-                merged[label] = union
-                totals[label] = total
-                self._ml[label] = total - distinct
-                self._present[label] = present
-                self._leaf_count[label] = leaf_count
-            self._vl[label] = max(0, self._present[label] - 1)
-
-    def _build_columnar(self, polynomials, tree):
-        """One vectorized pass over the factor arrays (same numbers).
+    def __init__(self, polynomials, tree):
+        """One vectorized pass over the factor arrays.
 
         Residual classes are formed by exact row grouping of the
         ``[poly, member exponent, rest-of-monomial]`` matrices; the
@@ -273,10 +158,12 @@ class LossIndex:
         it — a ``searchsorted`` range plus one comparison per pair
         instead of per-monomial ``set()`` unions.
         """
-        import numpy
-
-        from repro.core.columnar import run_starts, unique_row_ids
-
+        polynomials = ensure_set(polynomials)
+        self.tree = tree
+        self._ml = {}
+        self._vl = {}
+        self._present = {}
+        self._leaf_count = {}
         cm = polynomials.columnar()
         ordered_leaves = [node.label for node in tree.leaves]
         leaf_ids = [VARIABLES.intern(label) for label in ordered_leaves]
@@ -294,7 +181,7 @@ class LossIndex:
         frows = cm.factor_rows()
         hits = numpy.flatnonzero(is_leaf[cm.vids])
         # First leaf in key order per row (compatibility: at most one
-        # per monomial; ties resolved as the object path does).
+        # per monomial).
         member_flat = hits[run_starts(frows[hits])]
         entry_rows = frows[member_flat]
         entries = len(member_flat)

@@ -1,13 +1,11 @@
 """Columnar (CSR) view of a polynomial multiset — the compression core.
 
-The evaluation side of the system went columnar in PR 1
-(:class:`repro.core.batch.CompiledPolynomialSet` compiles the multiset
-into flat NumPy arrays once and answers whole scenario suites with a
-handful of array ops). The *compression* side — ``abstract_counts``,
-``P↓S`` materialization, :class:`~repro.core.abstraction.LossIndex`,
-the greedy working state — still walked interned tuples monomial by
-monomial. This module is the matching columnar substrate for that
-side:
+Every compression operation runs over these flat NumPy arrays:
+``abstract_counts``, ``P↓S`` materialization,
+:class:`~repro.core.abstraction.LossIndex` (Algorithm 1's per-node
+losses) and the greedy working state (Algorithm 2). The batch
+evaluator (:class:`repro.core.batch.CompiledPolynomialSet`) compiles
+from the same arrays, so one extraction pass feeds both sides.
 
 * :class:`ColumnarMultiset` — the monomial multiset as flat factor
   arrays: ``vids``/``exps`` hold every ``(variable id, exponent)``
@@ -21,7 +19,12 @@ side:
   computes ``(|P↓S|_M, |P↓S|_V)`` and :meth:`ColumnarMultiset.substitute`
   materializes ``P↓S`` via an id-remap gather, a per-row factor
   sort/merge, and an ``np.unique``-style row grouping — no per-monomial
-  tuple rebuilds.
+  tuple rebuilds. Merged coefficients are summed in canonical row
+  order, so abstracting a subset of the polynomials (an extend's
+  delta) gives the same coefficients, bit for bit, as abstracting the
+  whole set.
+* the §2.2 compatibility check the solvers run up front:
+  :meth:`ColumnarMultiset.tree_columns`.
 * the shared CSR helpers the columnar algorithms are built on:
   :func:`unique_row_ids` (exact row grouping, the workhorse behind
   collision detection and loss indexing) and :func:`invert_index` /
@@ -29,26 +32,9 @@ side:
   ``repro.core.batch._DeltaIndex``, factored out so the compression
   side reuses the same machinery).
 
-Backends
---------
-
-Every compression entry point (``abstract_counts``, ``abstract``,
-``LossIndex``, ``greedy_vvs``, ``optimal_vvs``, ``brute_force_vvs``,
-``ProvenanceSession.compress``, the CLI) takes a
-``backend="object" | "columnar" | "auto"`` knob. The object path is the
-reference implementation (exactly the code that existed before this
-module); the columnar path is count-identical — same ``ML``/``VL``,
-same selected VVS under the same deterministic tie-breaks — and
-property tests pin the two against each other. ``"auto"`` picks
-columnar for multisets of at least :data:`COLUMNAR_MIN_MONOMIALS`
-monomials (below that the NumPy constant factors outweigh the win) and
-falls back to object wherever a structural precondition fails.
-
-The one documented divergence: materializing ``P↓S`` with the columnar
-backend sums merged *float* coefficients in canonical monomial order
-rather than dict-insertion order, so float coefficients can differ in
-the last bits (exact coefficient types — int, ``Fraction`` — are
-identical).
+``tests/oracle.py`` restates every one of these operations from the
+paper's definitions over plain dicts; the differential suite pins the
+columnar core to it.
 """
 
 from __future__ import annotations
@@ -56,63 +42,20 @@ from __future__ import annotations
 import numpy
 
 from repro.core.interning import VARIABLES
-from repro.errors import CompressionError
 
 __all__ = [
-    "BACKENDS",
-    "COLUMNAR_MIN_MONOMIALS",
     "ColumnarMultiset",
-    "ColumnarUnsupportedError",
-    "resolve_backend",
     "unique_row_ids",
     "run_starts",
     "invert_index",
     "gather_ranges",
 ]
 
-
-class ColumnarUnsupportedError(CompressionError, ValueError):
-    """A structural precondition of a columnar algorithm failed.
-
-    The columnar greedy requires forest compatibility (at most one
-    node of each tree per monomial, §2.2) to lay tree variables out in
-    fixed per-tree columns. ``backend="auto"`` catches this and falls
-    back to the object path; an explicit ``backend="columnar"``
-    propagates it.
-    """
-
-#: The valid ``backend=`` names accepted across the compression stack.
-BACKENDS = ("object", "columnar", "auto")
-
-#: ``backend="auto"`` picks the columnar path for multisets with at
-#: least this many monomials; smaller inputs stay on the object path
-#: (identical results, and the flat-array constant factors only pay
-#: off at scale).
-COLUMNAR_MIN_MONOMIALS = 512
-
 #: Padding marker for variable-id slots in fixed-width row matrices.
 #: Real variable ids are >= 0 and the loss-index sentinel is -1, so -2
 #: can never collide with a real factor; padded exponent slots hold 0
 #: (real exponents are >= 1).
 _PAD_VID = -2
-
-
-def resolve_backend(backend, num_monomials):
-    """The concrete backend (``"object"``/``"columnar"``) for a request.
-
-    Explicit names validate and pass through; ``"auto"`` applies the
-    :data:`COLUMNAR_MIN_MONOMIALS` size policy. Results are identical
-    either way — only the work schedule differs.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend != "auto":
-        return backend
-    if num_monomials >= COLUMNAR_MIN_MONOMIALS:
-        return "columnar"
-    return "object"
 
 
 def unique_row_ids(matrix):
@@ -406,6 +349,75 @@ class ColumnarMultiset:
             - numpy.repeat(self.row_starts[:-1], self.row_lengths)
         )
 
+    # ------------------------------------------------------ compatibility
+
+    def tree_columns(self, forest):
+        """The tree of every factor, after the §2.2 compatibility check.
+
+        Conditions 2 and 3 of §2.2 in one vectorized pass: no factor is
+        a meta-variable (an internal node) of the forest, and no
+        monomial holds two nodes of one tree. Condition 1 (every leaf
+        occurs) is the caller's — the solvers clean the forest first.
+
+        :returns: ``(tree_of, in_tree)`` — ``tree_of[vid]`` is the index
+            of the tree holding variable ``vid`` (-1 when free), over
+            every id interned so far (the forest's labels included);
+            ``in_tree`` is ``tree_of`` gathered per factor.
+        :raises CompatibilityError: naming the first offending monomial
+            and its tree.
+        """
+        intern = VARIABLES.intern
+        labels = [
+            (index, intern(label), bool(node.children))
+            for index, tree in enumerate(forest.trees)
+            for label, node in tree.nodes.items()
+        ]
+        tree_of = numpy.full(len(VARIABLES), -1, dtype=numpy.intp)
+        internal = numpy.zeros(len(VARIABLES), dtype=bool)
+        for index, vid, has_children in labels:
+            tree_of[vid] = index
+            internal[vid] = has_children
+        in_tree = tree_of[self.vids]
+
+        meta = numpy.flatnonzero(internal[self.vids])
+        if len(meta):
+            factor = int(meta[0])
+            self._incompatible(
+                forest, factor,
+                f"contains meta-variable {VARIABLES.name(int(self.vids[factor]))!r}",
+            )
+        tree_sel = numpy.flatnonzero(in_tree >= 0)
+        if len(tree_sel):
+            membership = (
+                self.factor_rows()[tree_sel] * len(forest.trees)
+                + in_tree[tree_sel]
+            )
+            order = numpy.argsort(membership, kind="stable")
+            repeated = numpy.flatnonzero(
+                membership[order][1:] == membership[order][:-1]
+            )
+            if len(repeated):
+                self._incompatible(
+                    forest, int(tree_sel[order[repeated[0] + 1]]),
+                    "contains more than one node",
+                )
+        return tree_of, in_tree
+
+    def _incompatible(self, forest, factor, what):
+        from repro.core.forest import CompatibilityError
+        from repro.core.polynomial import Monomial
+
+        row = int(self.factor_rows()[factor])
+        lo, hi = self.row_starts[row], self.row_starts[row + 1]
+        monomial = Monomial._from_key(tuple(sorted(zip(
+            self.vids[lo:hi].tolist(), self.exps[lo:hi].tolist(), strict=True
+        ))))
+        tree = forest.tree_of(VARIABLES.name(int(self.vids[factor])))
+        raise CompatibilityError(
+            f"monomial {monomial} {what} of tree rooted at "
+            f"{tree.root.label!r}"
+        )
+
     # ------------------------------------------------------- substitution
 
     def _remap(self, id_mapping):
@@ -482,10 +494,10 @@ class ColumnarMultiset:
     def substituted_counts(self, id_mapping):
         """``(|P↓S|_M, |P↓S|_V)`` for an interned ``{id: id}`` mapping.
 
-        Count-identical to the object
-        :func:`repro.core.abstraction.abstract_counts` path: rows are
-        remapped, per-row duplicates merged, and identical rows within
-        a polynomial collapsed by exact row grouping.
+        Rows are remapped, per-row duplicates merged, and identical
+        rows within a polynomial collapsed by exact row grouping.
+        Counts ignore coefficients: monomials whose merged coefficients
+        cancel still count (the paper's ``|P↓S|_M`` is structural).
         """
         if self.num_monomials == 0:
             return 0, 0
@@ -498,12 +510,11 @@ class ColumnarMultiset:
     def substitute(self, id_mapping):
         """Materialize ``P↓S`` as a list of ``{Monomial: coeff}`` dicts.
 
-        Monomial keys are count-identical to the object
-        ``substitute_ids`` path and built once per distinct target key.
+        Monomial keys are built once per distinct target key.
         Coefficients of merged monomials are summed in canonical row
-        order (exact for int/``Fraction``; float sums can differ from
-        the object path in the last bits); zero sums are dropped, as in
-        :meth:`Polynomial.substitute_ids
+        order — a polynomial's sums depend on its own rows only, so any
+        subset of the set abstracts to the same coefficients bit for
+        bit; zero sums are dropped, as in :meth:`Polynomial.substitute_ids
         <repro.core.polynomial.Polynomial.substitute_ids>`.
         """
         from repro.core.polynomial import Monomial

@@ -90,7 +90,10 @@ class AbstractionForest:
         Compatibility requires: (1) every leaf label occurs as a variable
         of the polynomials, (2) no internal (meta-variable) label occurs
         in the polynomials, and (3) every monomial contains at most one
-        node of each tree.
+        node of each tree. Conditions 2 and 3 run as one vectorized
+        pass over the set's columnar view
+        (:meth:`~repro.core.columnar.ColumnarMultiset.tree_columns`),
+        the same check the solvers run up front.
         """
         variables = polynomials.variables
         for tree in self.trees:
@@ -100,25 +103,7 @@ class AbstractionForest:
                     f"leaves {sorted(missing)} do not occur in the polynomials; "
                     "call forest.clean(polynomials) first (paper footnote 1)"
                 )
-            internal = tree.labels - tree.leaf_labels
-            clashing = internal & variables
-            if clashing:
-                raise CompatibilityError(
-                    f"meta-variables {sorted(clashing)} occur in the polynomials"
-                )
-        for polynomial in polynomials:
-            for monomial in polynomial.monomials:
-                per_tree = {}
-                for var in monomial.variables:
-                    index = self._owner.get(var)
-                    if index is None:
-                        continue
-                    per_tree[index] = per_tree.get(index, 0) + 1
-                    if per_tree[index] > 1:
-                        raise CompatibilityError(
-                            f"monomial {monomial} contains more than one node of "
-                            f"tree rooted at {self.trees[index].root.label!r}"
-                        )
+        polynomials.columnar().tree_columns(self)
 
     def is_compatible(self, polynomials):
         """Boolean form of :meth:`check_compatible`."""

@@ -42,7 +42,6 @@ __all__ = [
     "ArtifactNotFound",
     # Lazily re-exported aliases (defined at their historical sites):
     "InfeasibleBoundError",
-    "ColumnarUnsupportedError",
     "CompatibilityError",
     "NonUniformError",
     "ParseError",
@@ -62,9 +61,9 @@ class SerializeError(ReproError, ValueError):
 
 
 class CompressionError(ReproError):
-    """Compression failed: no adequate cut, solver misuse, or a backend
-    refusing its input. :class:`InfeasibleBoundError` is the concrete
-    bound-infeasibility subclass (defined with the solvers)."""
+    """Compression failed: no adequate cut, or solver misuse.
+    :class:`InfeasibleBoundError` is the concrete bound-infeasibility
+    subclass (defined with the solvers)."""
 
 
 class EvaluationError(ReproError):
@@ -89,7 +88,6 @@ class ArtifactNotFound(ReproError, KeyError):
 #: without creating import cycles.
 _LAZY_ALIASES = {
     "InfeasibleBoundError": ("repro.algorithms.result", "InfeasibleBoundError"),
-    "ColumnarUnsupportedError": ("repro.core.columnar", "ColumnarUnsupportedError"),
     "CompatibilityError": ("repro.core.forest", "CompatibilityError"),
     "NonUniformError": ("repro.core.valuation", "NonUniformError"),
     "ParseError": ("repro.core.parser", "ParseError"),

@@ -2,8 +2,8 @@
 
 The checkers encode contracts that otherwise live only in docstrings
 and property tests (bit-identical engines, read-only mmap views,
-leak-free shared memory, exact coefficients, the ``engine=``/
-``backend=`` threading). Everything here is pure stdlib — ``ast`` for
+leak-free shared memory, exact coefficients, the ``engine=``
+threading). Everything here is pure stdlib — ``ast`` for
 structure, ``tokenize`` for suppression pragmas — so the linter can
 run in any environment the package itself runs in.
 

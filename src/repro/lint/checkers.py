@@ -378,13 +378,15 @@ class PickledCacheChecker(Checker):
 
 
 class KeywordContractChecker(Checker):
-    """RPL006 — the ``engine=``/``backend=`` threading contract (PRs 4–5).
+    """RPL006 — the ``engine=`` threading contract (PR 4).
 
     Every public evaluation surface accepts the knob and forwards it to
     the sink it reaches, so callers can pin an engine end to end and
-    the ``auto`` policies resolve exactly once. A public callable that
+    the ``auto`` policy resolves exactly once. A public callable that
     reaches a sink without accepting/forwarding the keyword silently
-    re-defaults the choice mid-stack.
+    re-defaults the choice mid-stack. Compression sinks (``abstract``,
+    the solvers) take no knob — there is one compression core — so the
+    rule does not bind them.
 
     Since PR 8 the knobs may travel bundled: an ``options`` parameter
     (an :class:`repro.options.EvalOptions`) carries every knob at once,
@@ -395,8 +397,8 @@ class KeywordContractChecker(Checker):
     code = "RPL006"
     name = "keyword-contract"
     description = (
-        "public callables reaching evaluation/solver sinks must accept "
-        "and forward the engine=/backend= keywords"
+        "public callables reaching evaluation sinks must accept and "
+        "forward the engine= keyword"
     )
     paths = (
         "api/session.py",
@@ -412,13 +414,6 @@ class KeywordContractChecker(Checker):
             "evaluate_scenarios",
             "evaluate_scenarios_parallel",
             "iter_value_blocks",
-        }),
-        "backend": frozenset({
-            "abstract",
-            "abstract_counts",
-            "greedy_vvs",
-            "optimal_vvs",
-            "brute_force_vvs",
         }),
     }
 

@@ -2,10 +2,10 @@
 
 The public surface grew its tuning knobs one at a time — ``workers=``
 landed with the process pool, ``engine=`` with the delta evaluator,
-``backend=`` with the columnar core, ``chunk_size=`` with block
-streaming — and each facade method threaded whichever subset it had
-heard of. :class:`EvalOptions` replaces that drift with a single frozen
-dataclass accepted (and forwarded) everywhere::
+``chunk_size=`` with block streaming — and each facade method threaded
+whichever subset it had heard of. :class:`EvalOptions` replaces that
+drift with a single frozen dataclass accepted (and forwarded)
+everywhere::
 
     from repro import EvalOptions
 
@@ -19,9 +19,10 @@ them, but raise :class:`DeprecationWarning` and cannot be mixed with
 would hide a bug). Lint rule RPL009 keeps the contract honest: every
 public eval entry point must accept ``options=``.
 
-None of the knobs change results — engines, backends, workers and
-chunking are bit-identical by contract; options only steer *how* the
-same numbers get computed.
+None of the knobs change results — engines, workers and chunking are
+bit-identical by contract; options only steer *how* the same numbers
+get computed. Compression has no knob: it runs one columnar core
+(:mod:`repro.core.columnar`).
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class EvalOptions:
         revaluation per scenario), ``"delta"`` (baseline + sparse
         updates), or ``"auto"`` (pick by scenario sparsity; see
         :func:`repro.core.batch.choose_engine`).
-    :param backend: compression data layout — ``"object"`` (tuple
-        walking), ``"columnar"`` (flat NumPy arrays), or ``"auto"``.
-        Only compression entry points consume it; evaluation ignores it.
     :param workers: shard batch evaluation across this many worker
         processes; ``None``/``0``/``1`` stay in process.
     :param chunk_size: scenarios per worker task when sharding;
@@ -55,23 +53,16 @@ class EvalOptions:
     """
 
     engine: str = "auto"
-    backend: str = "auto"
     workers: int | None = None
     chunk_size: int | None = None
 
     _ENGINES = ("dense", "delta", "auto")
-    _BACKENDS = ("object", "columnar", "auto")
 
     def __post_init__(self) -> None:
         if self.engine not in self._ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of "
                 f"{self._ENGINES}"
-            )
-        if self.backend not in self._BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{self._BACKENDS}"
             )
         if self.workers is not None and self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers!r}")

@@ -5,7 +5,7 @@ import pytest
 from repro.api import Answer, CompressedProvenance, ProvenanceSession, as_forest
 from repro.algorithms.result import InfeasibleBoundError
 from repro.core import serialize
-from repro.core.forest import AbstractionForest
+from repro.core.forest import AbstractionForest, CompatibilityError
 from repro.core.tree import AbstractionTree
 from repro.core.valuation import Valuation
 from repro.scenarios import Scenario, ScenarioSuite
@@ -132,20 +132,32 @@ class TestCompress:
         with pytest.raises(ValueError, match="no abstraction forest"):
             ProvenanceSession.from_strings(["x + y"]).compress(bound=1)
 
+    @pytest.mark.parametrize("polynomial, where", [
+        ("SB*x + b1*x + b2*y", "meta-variable 'SB'"),
+        ("b1*b2 + b1^2 + 3*x", "more than one node"),
+    ])
+    def test_incompatible_provenance_rejected(self, polynomial, where):
+        """§2.2-incompatible input fails up front instead of compressing
+        with wrong losses — whichever solver ``auto`` routes to."""
+        session = ProvenanceSession.from_strings(
+            [polynomial], forest=("SB", ["b1", "b2"])
+        )
+        for algorithm in ("auto", "greedy", "optimal"):
+            with pytest.raises(CompatibilityError, match=where):
+                session.compress(bound=2, algorithm=algorithm)
+        # Brute force counts every cut directly and stays exact.
+        artifact = session.compress(bound=2, algorithm="brute-force")
+        assert artifact.monomial_loss == (
+            artifact.original_size - artifact.abstracted_size
+        )
+
     def test_solver_options_forwarded(self, session):
         artifact = session.compress(bound=6, algorithm="greedy",
                                     ml_tie_break=False)
         assert artifact.abstracted_size <= 6
 
-    def test_backend_knob_yields_identical_artifacts(self, session):
-        artifacts = [
-            session.compress(bound=6, backend=backend)
-            for backend in ("object", "columnar", "auto")
-        ]
-        assert artifacts[0] == artifacts[1] == artifacts[2]
-
     def test_legacy_solver_without_backend_parameter_still_works(self, session):
-        """The backend knob is only forwarded to solvers that take it."""
+        """Solvers need only the common contract — no extra keyword."""
         from repro.algorithms import registry
         from repro.algorithms.greedy import greedy_vvs
 

@@ -1,38 +1,123 @@
-"""The columnar compression core is pinned against the object path.
+"""The columnar compression core, pinned against the definitional oracle.
 
-Every columnar entry point — ``abstract_counts``/``abstract``,
-``LossIndex``, ``greedy_vvs``, ``optimal_vvs`` — must be
-count-identical to the object reference implementation: same sizes and
-granularities, same per-node losses, same selected VVS under the same
-deterministic tie-breaks, same traces. Hypothesis drives the pinning
-over adversarial inputs: exponents ≠ 1, substitutions whose targets
-collide with existing variables (the exponent-merging path), Fraction
-coefficients, empty and variable-free polynomials, and pickled/
-unpickled sets (interned ids do not survive pickling — names do).
+Every compression entry point — ``abstract_counts``/``abstract``/
+``losses``, ``LossIndex``, ``greedy_vvs``, ``optimal_vvs`` and
+``brute_force_vvs`` — runs on the flat arrays of
+:mod:`repro.core.columnar`. ``tests/oracle.py`` restates each one from
+the paper's definitions over plain dicts (no ``repro`` import), and
+Hypothesis drives the comparison over adversarial inputs: exponents
+≠ 1, substitutions whose targets collide with existing variables (the
+exponent-merging path), empty and variable-free polynomials, pickled/
+unpickled sets (interned ids do not survive pickling — names do), and
+four coefficient families. Int, ``Fraction`` and big-int coefficients
+must equal the oracle's exactly, type included; float coefficients
+(positive, so merged sums never cancel) must give the same monomials
+with coefficients within 1e-12 relative.
 """
 
 import pickle
+import uuid
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.algorithms.greedy import _object_greedy, greedy_vvs
+import oracle
+from repro.algorithms.brute_force import brute_force_vvs
+from repro.algorithms.greedy import greedy_vvs
 from repro.algorithms.optimal import optimal_vvs
+from repro.algorithms.result import InfeasibleBoundError
 from repro.core.abstraction import LossIndex, abstract, abstract_counts, losses
-from repro.core.columnar import (
-    BACKENDS,
-    ColumnarUnsupportedError,
-    gather_ranges,
-    invert_index,
-    resolve_backend,
-    unique_row_ids,
-)
-from repro.core.forest import AbstractionForest
+from repro.core.columnar import gather_ranges, invert_index, unique_row_ids
+from repro.core.forest import AbstractionForest, CompatibilityError
 from repro.core.parser import parse_set
 from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
 from repro.core.tree import AbstractionTree
-from repro.workloads.random_polys import random_compatible_instance
+
+# ---------------------------------------------------------------------------
+# Plain-data views and comparisons
+# ---------------------------------------------------------------------------
+
+
+def plain(polynomials):
+    """A polynomial set as the oracle's plain data."""
+    return [
+        {monomial.powers: coeff for monomial, coeff in polynomial.terms.items()}
+        for polynomial in polynomials
+    ]
+
+
+def specs(forest):
+    return [tree.to_nested() for tree in forest]
+
+
+def assert_same_polynomials(actual, expected):
+    """Exact families to the bit (type included); floats within 1e-12."""
+    assert len(actual) == len(expected)
+    for mine, theirs in zip(actual, expected, strict=True):
+        assert mine.keys() == theirs.keys()
+        for monomial, coeff in mine.items():
+            reference = theirs[monomial]
+            if isinstance(reference, float):
+                assert abs(coeff - reference) <= 1e-12 * max(
+                    abs(coeff), abs(reference)
+                ), (monomial, coeff, reference)
+            else:
+                assert type(coeff) is type(reference), (monomial, coeff)
+                assert coeff == reference, (monomial, coeff, reference)
+
+
+def fresh_labels(forest):
+    """``forest`` with every internal label renamed to a never-interned
+    one: the solver interns them in forest order, so the last one is
+    the highest variable id."""
+    tag = uuid.uuid4().hex
+
+    def rename(spec):
+        if isinstance(spec, str):
+            return spec
+        return (f"{spec[0]}_{tag}", [rename(child) for child in spec[1]])
+
+    return AbstractionForest([
+        AbstractionTree.from_nested(rename(tree.to_nested()))
+        for tree in forest
+    ])
+
+
+def trace_tuples(result):
+    return [
+        (s.chosen, s.delta_ml, s.delta_vl, s.cumulative_ml, s.cumulative_vl)
+        for s in result.trace
+    ]
+
+
+def assert_greedy_matches_oracle(polys, forest, bound, *, ml_tie_break=True,
+                                 clean=True, original=None):
+    """Cut, trace, sizes and losses of one greedy run against the rescan.
+
+    ``original`` is the set the oracle reads (defaults to ``polys`` —
+    pass the pre-pickling set to check an unpickled run).
+    """
+    reference = plain(original if original is not None else polys)
+    result = greedy_vvs(
+        polys, forest, bound, ml_tie_break=ml_tie_break, clean=clean
+    )
+    cut, trace = oracle.greedy(
+        reference, specs(forest), bound,
+        ml_tie_break=ml_tie_break, do_clean=clean,
+    )
+    assert trace_tuples(result) == trace
+    assert result.vvs.labels == cut
+    mapping = oracle.mapping_of(specs(result.vvs.forest), cut)
+    size, granularity = oracle.counts(reference, mapping)
+    assert (result.abstracted_size, result.abstracted_granularity) == (
+        size, granularity
+    )
+    assert (result.monomial_loss, result.variable_loss) == oracle.losses(
+        reference, mapping
+    )
+    return result
+
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -42,26 +127,34 @@ VARIABLES_POOL = [f"v{i}" for i in range(8)]
 
 variable_names = st.sampled_from(VARIABLES_POOL)
 
-coefficients = st.one_of(
-    st.integers(-50, 50).filter(bool),
-    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7)),
-)
+#: Coefficient families. Floats are positive: merged sums never
+#: cancel, so "within 1e-12 relative" is a meaningful bound.
+COEFFICIENTS = {
+    "int": st.integers(-50, 50).filter(bool),
+    "fraction": st.builds(
+        Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7)
+    ),
+    "bigint": st.integers(-(10 ** 30), 10 ** 30).filter(bool),
+    "float": st.floats(min_value=1e-3, max_value=1e6),
+}
+EXACT_FAMILIES = ("int", "fraction", "bigint")
 
 
 @st.composite
-def monomials(draw):
+def monomials(draw, pool=VARIABLES_POOL):
     pairs = draw(
-        st.dictionaries(variable_names, st.integers(1, 4), max_size=4)
+        st.dictionaries(st.sampled_from(pool), st.integers(1, 4), max_size=4)
     )
     return Monomial(pairs.items())
 
 
 @st.composite
-def polynomial_sets(draw):
+def polynomial_sets(draw, families=tuple(COEFFICIENTS)):
     """Multisets mixing empty, constant and multi-variable polynomials."""
+    coeffs = COEFFICIENTS[draw(st.sampled_from(families))]
     body = draw(
         st.lists(
-            st.dictionaries(monomials(), coefficients, max_size=6),
+            st.dictionaries(monomials(), coeffs, max_size=6),
             min_size=0,
             max_size=4,
         )
@@ -80,15 +173,75 @@ mappings = st.dictionaries(
 
 
 @st.composite
-def instances(draw):
-    seed = draw(st.integers(0, 10_000))
-    return random_compatible_instance(
-        seed=seed,
-        num_trees=draw(st.integers(1, 3)),
-        leaves_per_tree=draw(st.integers(2, 8)),
-        num_polynomials=draw(st.integers(1, 5)),
-        monomials_per_polynomial=draw(st.integers(1, 12)),
-    )
+def one_level_cuts(draw):
+    """A root cut of one-level trees whose parents may be variables that
+    already occur (substitution onto existing variables)."""
+    names = draw(st.permutations(VARIABLES_POOL))
+    leaves, parents = names[:5], names[5:]
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    trees = []
+    start = 0
+    for number, size in enumerate(sizes):
+        group = leaves[start:start + size]
+        start += size
+        if not group:
+            break
+        parent = draw(st.sampled_from([f"g{number}", parents[number]]))
+        trees.append(AbstractionTree.from_nested((parent, list(group))))
+    return AbstractionForest(trees).root_vvs()
+
+
+@st.composite
+def tree_specs(draw, leaves, prefix):
+    """A random tree over ``leaves``: adjacent nodes merge under fresh
+    parents (fanout 2–3) until one root remains."""
+    level = list(leaves)
+    counter = 0
+    while len(level) > 1:
+        start = draw(st.integers(0, len(level) - 2))
+        width = draw(st.integers(2, min(3, len(level) - start)))
+        group = level[start:start + width]
+        level[start:start + width] = [(f"{prefix}{counter}", group)]
+        counter += 1
+    return level[0]
+
+
+@st.composite
+def compatible_instances(draw, families=tuple(COEFFICIENTS), max_trees=3):
+    """``(polynomials, forest)``: at most one leaf per tree per monomial,
+    exponents up to 3, free variables, constants and empty polynomials."""
+    coeffs = COEFFICIENTS[draw(st.sampled_from(families))]
+    num_trees = draw(st.integers(1, max_trees))
+    pools = [
+        [f"t{t}l{i}" for i in range(draw(st.integers(2, 6)))]
+        for t in range(num_trees)
+    ]
+    free = ["f0", "f1", "f2"]
+
+    @st.composite
+    def monomial(draw):
+        pairs = []
+        for pool in pools:
+            leaf = draw(st.sampled_from(pool + [None]))
+            if leaf is not None:
+                pairs.append((leaf, draw(st.integers(1, 3))))
+        for name, exp in draw(
+            st.dictionaries(st.sampled_from(free), st.integers(1, 2),
+                            max_size=2)
+        ).items():
+            pairs.append((name, exp))
+        return Monomial(pairs)
+
+    body = draw(st.lists(
+        st.dictionaries(monomial(), coeffs, max_size=8),
+        min_size=1, max_size=5,
+    ))
+    polys = PolynomialSet(Polynomial(terms) for terms in body)
+    trees = [
+        AbstractionTree.from_nested(draw(tree_specs(pool, f"T{t}_")))
+        for t, pool in enumerate(pools)
+    ]
+    return polys, AbstractionForest(trees)
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +252,20 @@ def instances(draw):
 class TestAbstractCounts:
     @settings(deadline=None)
     @given(polynomial_sets(), mappings)
-    def test_columnar_matches_object(self, polys, mapping):
-        assert abstract_counts(polys, mapping, backend="columnar") == \
-            abstract_counts(polys, mapping, backend="object")
+    def test_matches_oracle(self, polys, mapping):
+        assert abstract_counts(polys, mapping) == oracle.counts(
+            plain(polys), mapping
+        )
 
     @settings(deadline=None)
     @given(polynomial_sets(), mappings)
     def test_counts_match_materialization_keys(self, polys, mapping):
-        """Columnar counts agree with the keys the object path builds.
+        """Counts agree with the keys ``Monomial.substitute`` builds.
 
         (Materialized sizes may be *smaller* when merged coefficients
-        cancel to zero — counts deliberately ignore coefficients, on
-        both backends alike.)
+        cancel to zero — counts deliberately ignore coefficients.)
         """
-        size, granularity = abstract_counts(polys, mapping, backend="columnar")
+        size, granularity = abstract_counts(polys, mapping)
         keys = set()
         variables = set()
         for polynomial in polys:
@@ -131,50 +284,83 @@ class TestAbstractCounts:
     def test_unpickled_sets_count_identically(self, polys, mapping):
         restored = pickle.loads(pickle.dumps(polys))
         assert restored == polys
-        assert abstract_counts(restored, mapping, backend="columnar") == \
-            abstract_counts(polys, mapping, backend="object")
+        assert abstract_counts(restored, mapping) == oracle.counts(
+            plain(polys), mapping
+        )
 
     def test_empty_and_variable_free(self):
         empty = PolynomialSet([])
-        assert abstract_counts(empty, {"a": "b"}, backend="columnar") == (0, 0)
+        assert abstract_counts(empty, {"a": "b"}) == (0, 0)
         constants = PolynomialSet(
             [Polynomial.constant(3), Polynomial.zero(), Polynomial.constant(7)]
         )
-        for backend in ("object", "columnar"):
-            assert abstract_counts(constants, {"a": "b"}, backend=backend) == (2, 0)
+        assert abstract_counts(constants, {"a": "b"}) == (2, 0)
+        assert oracle.counts(plain(constants), {"a": "b"}) == (2, 0)
 
-    def test_losses_combines_both_measures(self, ):
+    def test_losses_combines_both_measures(self):
         polys = parse_set(["2*b1*m1 + 3*b1*m3 + 4*b2*m1 + 5*b2*m3 + 6*e*m1"])
         tree = AbstractionTree.from_nested(("B", [("SB", ["b1", "b2"]), "e"]))
         forest = AbstractionForest([tree])
         vvs = forest.vvs({"SB", "e"})
-        for backend in BACKENDS:
-            assert losses(polys, vvs, backend=backend) == (2, 1)
+        assert losses(polys, vvs) == (2, 1)
+        assert oracle.losses(plain(polys), vvs.mapping()) == (2, 1)
+
+    @settings(deadline=None, max_examples=50)
+    @given(polynomial_sets(), one_level_cuts())
+    def test_losses_match_oracle(self, polys, vvs):
+        assert losses(polys, vvs) == oracle.losses(plain(polys), vvs.mapping())
 
 
 class TestAbstractMaterialization:
-    @settings(deadline=None)
-    @given(instances())
-    def test_exact_coefficients_are_identical(self, instance):
-        """Int/Fraction coefficients: columnar ``P↓S`` equals object's."""
+    @settings(deadline=None, max_examples=50)
+    @given(compatible_instances(families=EXACT_FAMILIES), st.data())
+    def test_exact_coefficients_are_identical(self, instance, data):
+        """Int/Fraction/big-int ``P↓S`` equals the oracle's to the bit."""
         polys, forest = instance
-        for vvs in (forest.root_vvs(), forest.leaf_vvs()):
-            assert abstract(polys, vvs, backend="columnar") == \
-                abstract(polys, vvs, backend="object")
+        cut = data.draw(st.sampled_from(oracle.forest_cuts(specs(forest))))
+        vvs = forest.vvs(cut)
+        assert_same_polynomials(
+            plain(abstract(polys, vvs)),
+            oracle.abstract(plain(polys), vvs.mapping()),
+        )
 
     def test_zero_cancellation_matches(self):
         polys = parse_set(["2*a*x - 2*b*x + c"])
         forest = AbstractionForest([AbstractionTree.from_nested(("g", ["a", "b"]))])
         vvs = forest.root_vvs()
-        assert abstract(polys, vvs, backend="columnar") == \
-            abstract(polys, vvs, backend="object")
+        expected = oracle.abstract(plain(polys), vvs.mapping())
+        assert expected == [{(("c", 1),): 1}]
+        assert_same_polynomials(plain(abstract(polys, vvs)), expected)
 
-    def test_float_coefficients_are_close(self):
-        polys = parse_set(["0.1*a*x + 0.2*b*x + 0.7*c"])
-        forest = AbstractionForest([AbstractionTree.from_nested(("g", ["a", "b"]))])
-        vvs = forest.root_vvs()
-        columnar = abstract(polys, vvs, backend="columnar")
-        assert columnar.almost_equal(abstract(polys, vvs, backend="object"))
+    @settings(deadline=None, max_examples=50)
+    @given(compatible_instances(families=("float",)), st.data())
+    def test_float_coefficients_are_close(self, instance, data):
+        polys, forest = instance
+        cut = data.draw(st.sampled_from(oracle.forest_cuts(specs(forest))))
+        vvs = forest.vvs(cut)
+        assert_same_polynomials(
+            plain(abstract(polys, vvs)),
+            oracle.abstract(plain(polys), vvs.mapping()),
+        )
+
+    @settings(deadline=None, max_examples=50)
+    @given(polynomial_sets(), one_level_cuts())
+    def test_substitution_onto_existing_variables(self, polys, vvs):
+        """Parents that already occur merge exponents (``a*g → g^2``)."""
+        expected = oracle.abstract(plain(polys), vvs.mapping())
+        assert_same_polynomials(plain(abstract(polys, vvs)), expected)
+        restored = pickle.loads(pickle.dumps(polys))
+        assert_same_polynomials(plain(abstract(restored, vvs)), expected)
+
+    @settings(deadline=None, max_examples=50)
+    @given(polynomial_sets(), one_level_cuts())
+    def test_single_polynomial_substitutes(self, polys, vvs):
+        """A lone ``Polynomial`` abstracts through ``substitute``."""
+        for polynomial in polys:
+            assert_same_polynomials(
+                plain([abstract(polynomial, vvs)]),
+                oracle.abstract(plain([polynomial]), vvs.mapping()),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -182,42 +368,43 @@ class TestAbstractMaterialization:
 # ---------------------------------------------------------------------------
 
 
-def assert_loss_index_identical(polys, tree):
-    object_index = LossIndex(polys, tree, backend="object")
-    columnar_index = LossIndex(polys, tree, backend="columnar")
-    for label in tree.labels:
-        assert object_index.ml(label) == columnar_index.ml(label), label
-        assert object_index.vl(label) == columnar_index.vl(label), label
-        assert object_index.leaves_present(label) == \
-            columnar_index.leaves_present(label), label
-        assert object_index.leaf_count(label) == \
-            columnar_index.leaf_count(label), label
-    assert object_index.max_ml == columnar_index.max_ml
+def assert_loss_index_matches_oracle(polys, tree, original=None):
+    reference = plain(original if original is not None else polys)
+    index = LossIndex(polys, tree)
+    expected = oracle.node_losses(reference, tree.to_nested())
+    present = oracle.variables_of(reference)
+    for label, node in oracle.nodes(tree.to_nested()):
+        under = oracle.leaves(node)
+        assert (index.ml(label), index.vl(label)) == expected[label], label
+        assert index.leaves_present(label) == sum(
+            1 for leaf in under if leaf in present
+        ), label
+        assert index.leaf_count(label) == len(under), label
+    assert index.max_ml == expected[tree.root.label][0]
 
 
 class TestLossIndex:
-    @settings(deadline=None)
-    @given(instances())
-    def test_columnar_matches_object(self, instance):
+    @settings(deadline=None, max_examples=50)
+    @given(compatible_instances())
+    def test_matches_oracle(self, instance):
         polys, forest = instance
         for tree in forest:
-            assert_loss_index_identical(polys, tree)
+            assert_loss_index_matches_oracle(polys, tree)
 
     def test_exponents_and_sentinel_residuals(self):
         """Residual keys carry the member's exponent (sentinel slot)."""
         polys = parse_set(["b1^2*x + b2^2*x + b1^3*x + 2*b1^2 + 5*b2^2"])
         tree = AbstractionTree.from_nested(("SB", ["b1", "b2"]))
-        assert_loss_index_identical(polys, tree)
-        index = LossIndex(polys, tree, backend="columnar")
+        assert_loss_index_matches_oracle(polys, tree)
         # b1^2*x/b2^2*x merge and the constants' residuals merge; the
         # b1^3 residual is kept apart by its exponent.
-        assert index.ml("SB") == 2
+        assert LossIndex(polys, tree).ml("SB") == 2
 
     def test_unpickled_set(self):
         polys = parse_set(["2*b1*m1 + 3*b2*m1 + b1^2"])
         restored = pickle.loads(pickle.dumps(polys))
         tree = AbstractionTree.from_nested(("SB", ["b1", "b2"]))
-        assert_loss_index_identical(restored, tree)
+        assert_loss_index_matches_oracle(restored, tree, original=polys)
 
 
 # ---------------------------------------------------------------------------
@@ -225,44 +412,35 @@ class TestLossIndex:
 # ---------------------------------------------------------------------------
 
 
-def trace_tuples(result):
-    return [
-        (s.chosen, s.delta_ml, s.delta_vl, s.cumulative_ml, s.cumulative_vl)
-        for s in result.trace
-    ]
-
-
 class TestGreedyBackend:
-    @settings(deadline=None, max_examples=40)
-    @given(instances(), st.integers(1, 4), st.booleans())
-    def test_columnar_run_is_identical(self, instance, divisor, tie_break):
+    @settings(deadline=None, max_examples=50)
+    @given(compatible_instances(), st.integers(1, 4), st.booleans(),
+           st.booleans())
+    def test_columnar_run_is_identical(self, instance, divisor, tie_break,
+                                       clean):
+        """Cut, trace and losses equal the literal rescan's, with the ML
+        tie-break and footnote-1 cleaning each on and off."""
         polys, forest = instance
         bound = max(1, polys.num_monomials // divisor)
-        object_result = _object_greedy(
-            polys, forest, bound, ml_tie_break=tie_break
-        )
-        columnar_result = greedy_vvs(
-            polys, forest, bound, ml_tie_break=tie_break, backend="columnar"
-        )
-        assert trace_tuples(object_result) == trace_tuples(columnar_result)
-        assert object_result.vvs.labels == columnar_result.vvs.labels
-        assert object_result.monomial_loss == columnar_result.monomial_loss
-        assert object_result.variable_loss == columnar_result.variable_loss
-        assert object_result.abstracted_size == columnar_result.abstracted_size
-        assert (
-            object_result.abstracted_granularity
-            == columnar_result.abstracted_granularity
+        assert_greedy_matches_oracle(
+            polys, forest, bound, ml_tie_break=tie_break, clean=clean
         )
 
     @settings(deadline=None, max_examples=15)
-    @given(instances())
+    @given(compatible_instances())
     def test_unpickled_set_runs_identically(self, instance):
         polys, forest = instance
         restored = pickle.loads(pickle.dumps(polys))
         bound = max(1, polys.num_monomials // 3)
-        assert trace_tuples(
-            greedy_vvs(restored, forest, bound, backend="columnar")
-        ) == trace_tuples(_object_greedy(polys, forest, bound))
+        assert_greedy_matches_oracle(restored, forest, bound, original=polys)
+
+    @settings(deadline=None, max_examples=50)
+    @given(compatible_instances(max_trees=3))
+    def test_bound_one_fuzz(self, instance):
+        """Bound 1 merges every tree up to its root — the regime where
+        rows holding a merged-out root meet later merges elsewhere."""
+        polys, forest = instance
+        assert_greedy_matches_oracle(polys, fresh_labels(forest), 1)
 
     def test_merged_out_tree_roots_have_no_watcher(self):
         """Rows holding a fully-merged tree's root must not touch ranks.
@@ -271,32 +449,35 @@ class TestGreedyBackend:
         the watcher lookup negative-indexed into the candidate slot
         table and corrupted (or crashed on) another candidate's ΔML
         bookkeeping once a later merge in a different tree rewrote
-        rows holding that root.
+        rows holding that root. Index -1 is the most recently interned
+        variable: fresh labels make that the last tree's root, still
+        an active candidate when the other roots' rows are rewritten.
         """
-        polys = parse_set([
-            "a1*b1*c1 + a2*b2*c2 + a1*b2*c3 + a2*b1*c4 + a1*c1 + b1*c2 "
-            "+ a2*b1 + a1*b2",
-        ])
         forest = AbstractionForest([
             AbstractionTree.from_nested(("RA", ["a1", "a2"])),
             AbstractionTree.from_nested(("RB", ["b1", "b2"])),
-            AbstractionTree.from_nested(
-                ("RC", [("N1", ["c1", "c2"]), ("N2", ["c3", "c4"])])
-            ),
+            AbstractionTree.from_nested(("RC", ["c1", "c2", "c3", "c4"])),
         ])
-        object_result = _object_greedy(polys, forest, 1)
-        columnar_result = greedy_vvs(polys, forest, 1, backend="columnar")
-        assert trace_tuples(object_result) == trace_tuples(columnar_result)
-        assert object_result.vvs.labels == columnar_result.vvs.labels
+        for provenance in (
+            "a1*b1*c1 + a2*b2*c2 + a1*b2*c3 + a2*b1*c4 + a1*c1 + b1*c2 "
+            "+ a2*b1 + a1*b2",
+            "a1*b1*c1 + b2*c2 + b1*c3 + a1*b1*c3 + a1*b2 + a1*c4 + b1 "
+            "+ a1*c3",
+        ):
+            assert_greedy_matches_oracle(
+                parse_set([provenance]), fresh_labels(forest), 1
+            )
 
-    def test_explicit_columnar_rejects_incompatible_forest(self):
-        polys = parse_set(["b1*b2 + b1"])
+    def test_rejects_incompatible_forest(self):
+        """Both solvers refuse §2.2-incompatible input up front."""
         tree = AbstractionTree.from_nested(("SB", ["b1", "b2"]))
-        with pytest.raises(ColumnarUnsupportedError):
-            greedy_vvs(polys, tree, bound=1, backend="columnar")
-        # auto falls back to the object path instead of raising.
-        fallback = greedy_vvs(polys, tree, bound=1, backend="auto")
-        assert fallback.vvs.labels == _object_greedy(polys, tree, 1).vvs.labels
+        for polys, where in (
+            (parse_set(["b1*b2 + b1^2 + 3*x"]), "more than one node"),
+            (parse_set(["SB*x + b1*x + b2*y"]), "meta-variable 'SB'"),
+        ):
+            for solve in (greedy_vvs, optimal_vvs):
+                with pytest.raises(CompatibilityError, match=where):
+                    solve(polys, tree, 1)
 
     def test_exponents_fractions_and_sentinels(self):
         polys = PolynomialSet([
@@ -314,38 +495,130 @@ class TestGreedyBackend:
             AbstractionTree.from_nested(("Q", ["m1"])),
         ])
         for bound in (1, 2, 4, 100):
-            object_result = _object_greedy(polys, forest.clean(polys), bound,
-                                           clean=False)
-            columnar_result = greedy_vvs(polys, forest.clean(polys), bound,
-                                         clean=False, backend="columnar")
-            assert trace_tuples(object_result) == trace_tuples(columnar_result)
-            assert object_result.vvs.labels == columnar_result.vvs.labels
+            assert_greedy_matches_oracle(
+                polys, forest.clean(polys), bound, clean=False
+            )
 
 
 class TestOptimalBackend:
-    @settings(deadline=None, max_examples=25)
-    @given(st.integers(0, 5_000), st.integers(1, 4))
-    def test_columnar_run_is_identical(self, seed, divisor):
-        polys, forest = random_compatible_instance(
-            seed=seed, num_trees=1, leaves_per_tree=8,
-            num_polynomials=4, monomials_per_polynomial=10,
-        )
-        from repro.algorithms.result import InfeasibleBoundError
-
+    @settings(deadline=None, max_examples=40)
+    @given(compatible_instances(max_trees=1), st.integers(1, 4))
+    def test_columnar_run_is_identical(self, instance, divisor):
+        """The DP's cut is an optimal adequate cut; its losses and the
+        infeasibility floor match the enumerated optimum."""
+        polys, forest = instance
         tree = forest.trees[0]
         bound = max(1, polys.num_monomials // divisor)
-        try:
-            object_result = optimal_vvs(polys, tree, bound, backend="object")
-        except InfeasibleBoundError as error:
+        reference = plain(polys)
+        cleaned = tree.clean(polys.variables)
+        assume(cleaned is not None)
+        best_vl, smallest = oracle.optimum(
+            reference, cleaned.to_nested(), bound
+        )
+        if best_vl is None:
             with pytest.raises(InfeasibleBoundError) as caught:
-                optimal_vvs(polys, tree, bound, backend="columnar")
-            assert caught.value.min_achievable_size == error.min_achievable_size
+                optimal_vvs(polys, tree, bound)
+            assert caught.value.min_achievable_size == smallest
             return
-        columnar_result = optimal_vvs(polys, tree, bound, backend="columnar")
-        assert object_result.vvs.labels == columnar_result.vvs.labels
-        assert object_result.monomial_loss == columnar_result.monomial_loss
-        assert object_result.variable_loss == columnar_result.variable_loss
-        assert object_result.abstracted_size == columnar_result.abstracted_size
+        result = optimal_vvs(polys, tree, bound)
+        assert result.vvs.labels in oracle.cuts(cleaned.to_nested())
+        mapping = oracle.mapping_of([cleaned.to_nested()], result.vvs.labels)
+        assert (result.monomial_loss, result.variable_loss) == oracle.losses(
+            reference, mapping
+        )
+        assert result.abstracted_size == oracle.counts(reference, mapping)[0]
+        assert result.abstracted_size <= bound
+        assert result.variable_loss == best_vl
+
+
+class TestBruteForce:
+    @settings(deadline=None, max_examples=40)
+    @given(compatible_instances(), st.integers(1, 4))
+    def test_matches_oracle(self, instance, divisor):
+        polys, forest = instance
+        cleaned = forest.clean(polys)
+        assume(cleaned.count_cuts() <= 2_000)
+        bound = max(1, polys.num_monomials // divisor)
+        reference = plain(polys)
+        cut, smallest = oracle.brute_force(reference, specs(cleaned), bound)
+        if cut is None:
+            with pytest.raises(InfeasibleBoundError) as caught:
+                brute_force_vvs(polys, forest, bound)
+            assert caught.value.min_achievable_size == smallest
+            return
+        result = brute_force_vvs(polys, forest, bound)
+        assert result.vvs.labels == cut
+        mapping = oracle.mapping_of(specs(cleaned), cut)
+        assert (result.monomial_loss, result.variable_loss) == oracle.losses(
+            reference, mapping
+        )
+        assert result.abstracted_size == oracle.counts(reference, mapping)[0]
+
+
+# ---------------------------------------------------------------------------
+# §2.2 compatibility (conditions 2 and 3)
+# ---------------------------------------------------------------------------
+
+
+def walk_violates(polys, forest):
+    """The definitional per-monomial walk: a meta-variable, or two nodes
+    of one tree, in some monomial."""
+    owner = {}
+    internal = set()
+    for index, spec in enumerate(specs(forest)):
+        for label, node in oracle.nodes(spec):
+            owner[label] = index
+            if not isinstance(node, str):
+                internal.add(label)
+    for polynomial in plain(polys):
+        for monomial in polynomial:
+            names = [name for name, _ in monomial]
+            if internal.intersection(names):
+                return True
+            trees = [owner[name] for name in names if name in owner]
+            if len(trees) != len(set(trees)):
+                return True
+    return False
+
+
+class TestCompatibilityCheck:
+    @settings(deadline=None, max_examples=50)
+    @given(polynomial_sets(), one_level_cuts())
+    def test_vectorized_check_matches_walk(self, polys, vvs):
+        forest = vvs.forest
+        violates = walk_violates(polys, forest)
+        if violates:
+            with pytest.raises(CompatibilityError):
+                polys.columnar().tree_columns(forest)
+        else:
+            polys.columnar().tree_columns(forest)
+
+    def test_meta_variable_in_input_is_rejected(self):
+        """``SB*x`` already holds the meta-variable the cut introduces:
+        merging b1 into SB would collide with it (§2.2 condition 2)."""
+        free = " + ".join(f"z{i}" for i in range(600))
+        polys = parse_set(["SB*x + b1*x + b2*y + " + free])
+        tree = AbstractionTree.from_nested(("SB", ["b1", "b2"]))
+        with pytest.raises(CompatibilityError, match=r"SB\*x.*'SB'"):
+            greedy_vvs(polys, tree, 600)
+        with pytest.raises(CompatibilityError, match="meta-variable"):
+            optimal_vvs(polys, tree, 2)
+        with pytest.raises(CompatibilityError, match="meta-variable"):
+            AbstractionForest([tree]).check_compatible(polys)
+
+    def test_two_leaves_of_one_tree_are_rejected(self):
+        polys = parse_set(["b1*b2 + b1^2 + 3*x"])
+        tree = AbstractionTree.from_nested(("SB", ["b1", "b2"]))
+        with pytest.raises(CompatibilityError,
+                           match=r"b1\*b2 contains more than one node"):
+            greedy_vvs(polys, tree, 1)
+        with pytest.raises(CompatibilityError):
+            optimal_vvs(polys, tree, 2)
+        # Brute force counts every cut directly, so it stays exact here:
+        # the root cut gives 2*SB^2 + 3*x.
+        result = brute_force_vvs(polys, tree, 2)
+        assert result.vvs.labels == {"SB"}
+        assert result.abstracted_size == 2
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +627,6 @@ class TestOptimalBackend:
 
 
 class TestHelpers:
-    def test_resolve_backend_validates(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("vectorized", 10)
-        assert resolve_backend("object", 10**9) == "object"
-        assert resolve_backend("columnar", 1) == "columnar"
-        assert resolve_backend("auto", 1) == "object"
-        assert resolve_backend("auto", 10**6) == "columnar"
-
     def test_unique_row_ids_groups_exactly(self):
         import numpy
 
@@ -390,3 +655,4 @@ class TestHelpers:
         starts = numpy.array([5, 0, 9])
         counts = numpy.array([2, 3, 0])
         assert gather_ranges(starts, counts).tolist() == [5, 6, 0, 1, 2]
+

@@ -32,15 +32,14 @@ class TestEvalOptions:
     def test_defaults(self):
         options = EvalOptions()
         assert options.engine == "auto"
-        assert options.backend == "auto"
         assert options.workers is None
         assert options.chunk_size is None
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown engine"):
             EvalOptions(engine="turbo")
-        with pytest.raises(ValueError, match="unknown backend"):
-            EvalOptions(backend="gpu")
+        with pytest.raises(TypeError, match="backend"):
+            EvalOptions(backend="columnar")  # compression has no knob
         with pytest.raises(ValueError, match="workers"):
             EvalOptions(workers=-1)
         with pytest.raises(ValueError, match="chunk_size"):
@@ -139,15 +138,6 @@ class TestEntryPoints:
             report = sensitivity(polynomials, sweep, options=options)
         assert ranked == top_k(polynomials, sweep, k=2)
         assert report == sensitivity(polynomials, sweep)
-
-    def test_compress_backend_options_vs_legacy(self):
-        session = ProvenanceSession.from_strings(POLYNOMIALS, forest=FOREST)
-        routed = session.compress(
-            2, algorithm="greedy", options=EvalOptions(backend="object"))
-        with pytest.warns(DeprecationWarning, match="compress"):
-            legacy = session.compress(2, algorithm="greedy", backend="object")
-        assert routed.stats() == legacy.stats()
-        assert routed.ask_many(SUITE) == legacy.ask_many(SUITE)
 
     def test_mixing_rejected_at_entry_points(self):
         artifact = make_artifact()

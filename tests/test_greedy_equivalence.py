@@ -1,16 +1,20 @@
-"""Property tests: the incremental greedy is *exactly* the reference.
+"""Seeded regression cases: the greedy is *exactly* Algorithm 2.
 
-:func:`greedy_vvs` maintains candidate ranks with collision counters
-and a priority queue; :func:`_reference_greedy` re-ranks and
-re-simulates every candidate each round. They must agree byte for byte
-— same chosen labels in the same order, same per-step and cumulative
-losses, same final cut — on every compatible instance, in both
-tie-break modes. Seeded-random instances keep the suite deterministic.
+:func:`greedy_vvs` maintains candidate ranks with per-group collision
+counts and a priority queue over the columnar working state;
+``oracle.greedy`` re-ranks every candidate from fresh ``|P↓S|`` counts
+each round (the paper's literal rescan, ``tests/oracle.py``). They
+must agree step for step — same chosen labels in the same order, same
+per-step and cumulative losses, same final cut and sizes — on every
+compatible instance, in both tie-break modes. Seeded-random instances
+keep these cases deterministic; ``tests/test_columnar.py`` drives the
+same comparison with Hypothesis.
 """
 
 import pytest
 
-from repro.algorithms.greedy import _reference_greedy, greedy_vvs
+import oracle
+from repro.algorithms.greedy import greedy_vvs
 from repro.core.forest import AbstractionForest
 from repro.workloads.random_polys import (
     random_compatible_instance,
@@ -26,22 +30,32 @@ def trace_tuples(result):
     ]
 
 
+def plain(polynomials):
+    return [
+        {monomial.powers: coeff for monomial, coeff in polynomial.terms.items()}
+        for polynomial in polynomials
+    ]
+
+
 def assert_identical(instance, bound, ml_tie_break):
     polynomials, forest = instance
     incremental = greedy_vvs(
         polynomials, forest, bound, ml_tie_break=ml_tie_break
     )
-    reference = _reference_greedy(
-        polynomials, forest, bound, ml_tie_break=ml_tie_break
+    reference = plain(polynomials)
+    cut, trace = oracle.greedy(
+        reference, [tree.to_nested() for tree in forest], bound,
+        ml_tie_break=ml_tie_break,
     )
-    assert trace_tuples(incremental) == trace_tuples(reference)
-    assert incremental.vvs.labels == reference.vvs.labels
-    assert incremental.monomial_loss == reference.monomial_loss
-    assert incremental.variable_loss == reference.variable_loss
-    assert incremental.abstracted_size == reference.abstracted_size
+    assert trace_tuples(incremental) == trace
+    assert incremental.vvs.labels == cut
+    mapping = incremental.vvs.mapping()
+    assert (incremental.monomial_loss, incremental.variable_loss) == (
+        oracle.losses(reference, mapping)
+    )
     assert (
-        incremental.abstracted_granularity == reference.abstracted_granularity
-    )
+        incremental.abstracted_size, incremental.abstracted_granularity
+    ) == oracle.counts(reference, mapping)
 
 
 class TestRandomForests:

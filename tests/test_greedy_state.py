@@ -1,112 +1,143 @@
-"""Whitebox tests for the greedy algorithm's working state.
+"""The greedy algorithm's working state, observed through its runs.
 
-The working state is the piece Example 15 forced into existence (ML is
-not additive across trees); these tests pin its internal contracts:
-simulate == apply, index consistency, and size bookkeeping. The state
-is id-addressed (interned variables); ``ids`` translates.
+The working state — the polynomials under the current cut, laid out as
+columns over the set's monomial rows — is the piece Example 15 forced
+into existence (ML is not additive across trees). These cases pin its
+bookkeeping on small hand-checked inputs: candidate ranking (the
+simulated ΔML) against the applied merge, the inverted index that finds
+the rows a merge rewrites, and size/granularity after each merge. Every
+run is also checked step for step against the literal rescan of
+``tests/oracle.py``.
 """
 
 import pytest
 
-from repro.algorithms.greedy import _WorkingState
-from repro.core.interning import VARIABLES
+import oracle
+from repro.algorithms.greedy import greedy_vvs
+from repro.core.abstraction import abstract
+from repro.core.forest import AbstractionForest
 from repro.core.parser import parse_set
+from repro.core.tree import AbstractionTree
 
-
-def ids(*names):
-    return [VARIABLES.intern(name) for name in names]
-
-
-def vid(name):
-    return VARIABLES.intern(name)
+POLYNOMIALS = ["2*a*x + 3*b*x + 4*a*y", "5*b*x + 6*c*x"]
 
 
 @pytest.fixture
 def state():
-    return _WorkingState(
-        parse_set(["2*a*x + 3*b*x + 4*a*y", "5*b*x + 6*c*x"])
+    return parse_set(POLYNOMIALS)
+
+
+def plain(polynomials):
+    return [
+        {monomial.powers: coeff for monomial, coeff in polynomial.terms.items()}
+        for polynomial in polynomials
+    ]
+
+
+def steps(result):
+    return [
+        (s.chosen, s.delta_ml, s.delta_vl, s.cumulative_ml, s.cumulative_vl)
+        for s in result.trace
+    ]
+
+
+def run(polynomials, *trees, bound=1):
+    """Greedy over uncleaned ``trees``, cross-checked with the oracle."""
+    forest = AbstractionForest(
+        [AbstractionTree.from_nested(tree) for tree in trees]
     )
+    result = greedy_vvs(polynomials, forest, bound, clean=False)
+    cut, trace = oracle.greedy(
+        plain(polynomials), list(trees), bound, do_clean=False
+    )
+    assert steps(result) == trace
+    assert result.vvs.labels == cut
+    return result
 
 
 class TestConstruction:
     def test_initial_size(self, state):
-        assert state.size == 5
+        result = run(state, ("g", ["a", "b"]), bound=5)
+        assert steps(result) == []
+        assert result.abstracted_size == 5
 
     def test_initial_granularity(self, state):
-        assert state.granularity == 5  # a, b, c, x, y
+        result = run(state, ("g", ["a", "b"]), bound=5)
+        assert result.abstracted_granularity == 5  # a, b, c, x, y
 
     def test_presence(self, state):
-        assert state.present("a")
-        assert state.present("x")
-        assert not state.present("zz")
+        # zz never occurs: merging it with a loses no variable.
+        result = run(state, ("g", ["a", "zz"]))
+        assert steps(result) == [("g", 0, 0, 0, 0)]
+        assert result.abstracted_granularity == 5  # g, b, c, x, y
 
     def test_index_covers_every_monomial(self, state):
-        # Each of the 5 monomials has 2 variables -> 10 index entries.
-        assert sum(len(entries) for entries in state.index.values()) == 10
+        # Every monomial holds a, b or c: the merge rewrites all five
+        # (one collision per polynomial).
+        result = run(state, ("g", ["a", "b", "c"]))
+        assert steps(result) == [("g", 2, 2, 2, 2)]
+        assert result.abstracted_size == 3
 
 
 class TestSimulateAndApply:
     def test_simulate_matches_apply(self, state):
-        predicted = state.simulate_merge(ids("a", "b"), vid("g"))
-        actual, _ = state.apply_merge(ids("a", "b"), vid("g"))
-        assert predicted == actual == 1  # a*x + b*x merge in polynomial 0
+        # Equal ΔVL; h's simulated ΔML (a*x ~ a*y) beats g's (none), and
+        # the applied losses are exactly the simulated ones.
+        result = run(state, ("g", ["a", "c"]), ("h", ["x", "y"]))
+        assert steps(result) == [("h", 1, 1, 1, 1), ("g", 0, 1, 1, 2)]
 
     def test_no_cross_polynomial_merge(self, state):
         # b*x exists in both polynomials; merging b,c only merges inside
         # polynomial 1 (b*x + c*x -> g*x).
-        assert state.simulate_merge(ids("b", "c"), vid("g")) == 1
+        result = run(state, ("g", ["b", "c"]))
+        assert steps(result) == [("g", 1, 1, 1, 1)]
 
     def test_simulate_is_pure(self, state):
-        before = state.size
-        state.simulate_merge(ids("a", "b"), vid("g"))
-        assert state.size == before
+        before = state.columnar().vids.copy()
+        run(state, ("g", ["a", "b"]), ("h", ["x", "y"]))
+        assert state == parse_set(POLYNOMIALS)
+        assert (state.columnar().vids == before).all()
 
     def test_apply_updates_size(self, state):
-        state.apply_merge(ids("a", "b"), vid("g"))
-        assert state.size == 4
+        result = run(state, ("g", ["a", "b"]), bound=4)
+        assert result.abstracted_size == 4
 
     def test_apply_updates_granularity(self, state):
-        state.apply_merge(ids("a", "b"), vid("g"))
+        result = run(state, ("g", ["a", "b"]), bound=4)
         # a and b replaced by g: {g, c, x, y}.
-        assert state.granularity == 4
-        assert state.present("g")
-        assert not state.present("a")
+        assert result.abstracted_granularity == 4
+        assert result.vvs.labels == {"g"}
 
     def test_apply_reindexes_residual_variables(self, state):
-        state.apply_merge(ids("a", "b"), vid("g"))
-        # x's index must now reference the rewritten keys only.
-        for poly_number, key in state.index[vid("x")]:
-            assert key in state.polys[poly_number]
+        # After g, the rewritten rows still hold x and y: the h merge
+        # finds them and loses one variable and one monomial.
+        result = run(state, ("g", ["a", "b"]), ("h", ["x", "y"]))
+        assert steps(result)[1] == ("h", 1, 1, 2, 2)
 
     def test_apply_reports_rewrites(self, state):
         # Merging a,b rewrites the three monomials of polynomial 0 and
         # one of polynomial 1; exactly one rewrite collides (a*x ~ b*x).
-        _, rewrites = state.apply_merge(ids("a", "b"), vid("g"))
-        assert len(rewrites) == 4
-        assert sum(1 for *_, survived in rewrites if not survived) == 1
-        for poly_number, old_key, new_key, _survived in rewrites:
-            assert old_key not in state.polys[poly_number]
-            assert new_key in state.polys[poly_number]
+        result = run(state, ("g", ["a", "b"]), bound=4)
+        assert steps(result) == [("g", 1, 1, 1, 1)]
+        assert [str(p) for p in abstract(state, result.vvs)] == [
+            "5*g*x + 4*g*y", "6*c*x + 5*g*x",
+        ]
 
     def test_sequential_merges_compose(self, state):
-        first, _ = state.apply_merge(ids("a", "b"), vid("g"))
-        second, _ = state.apply_merge(ids("x", "y"), vid("h"))
+        result = run(state, ("g", ["a", "b"]), ("h", ["x", "y"]))
         # After g: poly0 = {g*x, g*y}, poly1 = {g*x, c*x}. Merging x,y:
         # poly0 collapses to {g*h} (1 loss); poly1 -> {g*h, c*h} (0).
-        assert first == 1
-        assert second == 1
-        assert state.size == 3
+        assert [step[1] for step in steps(result)] == [1, 1]
+        assert result.abstracted_size == 3
 
     def test_cross_tree_interaction(self):
         """The Example 15 effect: earlier merges enable later ones."""
-        state = _WorkingState(parse_set(["a*x + b*y"]))
-        assert state.simulate_merge(ids("a", "b"), vid("g")) == 0
-        state.apply_merge(ids("x", "y"), vid("h"))
-        assert state.simulate_merge(ids("a", "b"), vid("g")) == 1
+        result = run(parse_set(["a*x + b*y"]),
+                     ("g", ["a", "b"]), ("h", ["x", "y"]))
+        assert steps(result) == [("g", 0, 1, 0, 1), ("h", 1, 1, 1, 2)]
 
     def test_exponents_preserved(self):
-        state = _WorkingState(parse_set(["a^2*x + b^2*x + b*x"]))
-        loss, _ = state.apply_merge(ids("a", "b"), vid("g"))
+        result = run(parse_set(["a^2*x + b^2*x + b*x"]), ("g", ["a", "b"]))
         # a^2*x and b^2*x merge (both g^2*x); b*x stays g*x.
-        assert loss == 1
-        assert state.size == 2
+        assert steps(result)[0][1] == 1
+        assert result.abstracted_size == 2

@@ -5,7 +5,9 @@ artifact repairs every derived structure in place — columnar CSR
 arrays, the compiled batch matrix, the delta-engine index — and the
 result is *bit-for-bit identical* to abstracting the full extended
 provenance under the same cut from scratch. The Hypothesis suite pins
-that across float, Fraction and big-int coefficient families; the
+that across float, Fraction and big-int coefficient families (the
+float family on a base of more than 512 monomials, so a large base
+and a small delta are abstracted side by side); the
 deterministic tests cover the drift-triggered recompress fallback, the
 copy-on-extend route for mmap-backed artifacts, revision plumbing
 through both serialization formats, and the unified MutationResult
@@ -107,9 +109,42 @@ def polynomial_sets(draw, coeffs, extra_pool, min_polys=0, max_polys=3):
 def compress_base(base):
     session = ProvenanceSession(base, make_forest())
     bound = max(1, base.num_monomials // 2)
-    artifact = session.compress(bound, algorithm="greedy",
-                                options=EvalOptions(backend="object"))
+    artifact = session.compress(bound, algorithm="greedy")
     return session, artifact
+
+
+def large_float_base():
+    """516 float monomials in 43 polynomials, every leaf pairing once
+    per polynomial: a base well above 512 monomials whose merges sum
+    three or more floats (order-sensitive in the last bits)."""
+    return [
+        Polynomial({
+            Monomial([(b, 1), (m, 1), (f"p{index}", 1)]):
+                0.1 * (index + 1) + 1e-3 * position
+            for position, (b, m) in enumerate(
+                (b, m) for m in M_LEAVES for b in reversed(B_LEAVES)
+            )
+        })
+        for index in range(43)
+    ]
+
+
+def order_sensitive_float_delta():
+    """A small float delta whose merged sums depend on summation order
+    ((0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1), inserted against the
+    canonical monomial order."""
+    pairs = [(b, m) for m in M_LEAVES for b in B_LEAVES]
+    return [Polynomial({
+        Monomial([(b, 1), (m, 1), ("n0", 1)]): (0.1, 0.2, 0.3)[index % 3]
+        for index, (b, m) in reversed(list(enumerate(pairs)))
+    })]
+
+
+#: Extra base and delta polynomials per coefficient family.
+BASE_PADDING = {"float": large_float_base(), "fraction": [], "bigint": []}
+DELTA_PADDING = {
+    "float": order_sensitive_float_delta(), "fraction": [], "bigint": [],
+}
 
 
 SCENARIOS = [
@@ -128,7 +163,7 @@ def rebuilt_same_cut(artifact, originals):
     """A from-scratch artifact over ``originals`` with the *same* cut —
     the reference the repaired artifact must match bit-for-bit."""
     return CompressedProvenance(
-        abstract(originals, artifact.vvs, backend="object"),
+        abstract(originals, artifact.vvs),
         artifact.forest,
         artifact.vvs,
         algorithm=artifact.algorithm,
@@ -157,14 +192,16 @@ class TestExtendMatchesFromScratch:
                                   max_polys=3),
         )
         def run(base, delta):
-            base = PolynomialSet([anchor_polynomial(), *base.polynomials])
+            base = PolynomialSet([
+                anchor_polynomial(), *BASE_PADDING[family], *base.polynomials,
+            ])
+            delta = PolynomialSet([*DELTA_PADDING[family], *delta.polynomials])
             session, artifact = compress_base(base)
             baseline = answers_of(artifact)  # warms compiled + delta index
             assert baseline == answers_of(rebuilt_same_cut(artifact, base))
 
             result = session.extend(
                 delta, artifact, drift_limit=float("inf"),
-                options=EvalOptions(backend="object"),
             )
             assert result.path == "repaired"
             assert result.revision == 1
@@ -203,11 +240,9 @@ class TestExtendMatchesFromScratch:
 
         via_session = session.extend(
             delta, artifact, drift_limit=float("inf"),
-            options=EvalOptions(backend="object"),
         ).artifact
         via_refresh = twin.refresh(
             delta, drift_limit=float("inf"),
-            options=EvalOptions(backend="object"),
         ).artifact
         assert via_refresh == via_session
         assert (via_refresh.original_granularity
@@ -356,7 +391,7 @@ class TestCopyOnExtend:
 
         combined = PolynomialSet(base.polynomials + delta.polynomials)
         assert first.artifact.polynomials == abstract(
-            combined, artifact.vvs, backend="object")
+            combined, artifact.vvs)
 
         # One-time: a second mmap-backed refresh stays silent.
         again = CompressedProvenance.load(path, mmap=True)

@@ -295,15 +295,17 @@ class TestKeywordContract:
         }, select={"RPL006"}) == []
 
     def test_backend_contract_on_solver_sinks(self, tmp_path):
-        findings = lint_tree(tmp_path, {
+        # Abstraction and solver sinks take no backend= keyword (one
+        # compression core), so RPL006 leaves their callers alone.
+        assert lint_tree(tmp_path, {
             "api/session.py": """\
+                from repro.algorithms.greedy import greedy_vvs
                 from repro.core.abstraction import abstract
-                def compress(polys, vvs):
-                    return abstract(polys, vvs)
+                def compress(polys, forest, bound):
+                    result = greedy_vvs(polys, forest, bound)
+                    return abstract(polys, result.vvs)
                 """,
-        }, select={"RPL006"})
-        assert codes(findings) == ["RPL006"]
-        assert "backend" in findings[0].message
+        }, select={"RPL006"}) == []
 
 
 class TestOptionsContract:

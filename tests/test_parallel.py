@@ -257,9 +257,11 @@ class TestSharedMemoryTransport:
 
         polys = _workload()
         leaves = sorted(polys.variables)
-        forest = AbstractionForest(
-            [AbstractionTree.from_nested(("R", leaves))]
-        )
+        # One tree over the pool (at most one pool variable per
+        # monomial — compatible); the free w* variables stay outside.
+        forest = AbstractionForest([AbstractionTree.from_nested(
+            ("R", [leaf for leaf in leaves if leaf.startswith("v")])
+        )])
         artifact = ProvenanceSession(polys, forest).compress(
             polys.num_monomials
         )

@@ -426,6 +426,34 @@ class TestErrorPaths:
             assert body["error"]["status"] == 400
             assert body["error"]["message"]
 
+    def test_incompatible_provenance_and_backend_option_are_400(
+        self, tmp_path
+    ):
+        """A create the compression core cannot serve exactly — provenance
+        breaking §2.2 compatibility, or the retired ``backend`` option —
+        is a client error."""
+        async def scenario(server):
+            port = server.port
+            return [
+                await asyncio.to_thread(call, port, "POST", "/artifacts", body)
+                for body in (
+                    {**artifact_body(),
+                     "polynomials": ["SB*m1 + b1*m1 + b2*m2 + b3*m1"]},
+                    {**artifact_body(), "polynomials": ["b1*b2*m1 + b3*m2"],
+                     "algorithm": "auto"},
+                    artifact_body(options={"backend": "columnar"}),
+                )
+            ]
+
+        results = asyncio.run(with_server(scenario)(tmp_path))
+        for status, body in results:
+            assert status == 400
+            assert body["error"]["status"] == 400
+        messages = [body["error"]["message"] for _, body in results]
+        assert "meta-variable 'SB'" in messages[0]
+        assert "more than one node" in messages[1]
+        assert "backend" in messages[2]
+
     def test_non_finite_default_is_400(self, tmp_path):
         """``json.loads`` accepts ``NaN`` and ``Infinity``; an ask must
         not, or every NaN ask would add a lift-cache entry."""
