@@ -36,7 +36,9 @@ def brute_force_vvs(polynomials, forest, bound, *, max_cuts=1_000_000,
     Visits every cut of the forest, keeps the adequate cut
     (``|P↓S|_M ≤ bound``) with minimal variable loss; ties are broken by
     larger monomial loss, then by sorted labels, so the result is
-    deterministic and comparable with the DP's answer. Every cut is
+    deterministic. On one tree its variable loss equals the DP's, though
+    the DP may pick another cut of that loss (see
+    :func:`~repro.algorithms.optimal.optimal_vvs`). Every cut is
     counted by :func:`repro.core.abstraction.abstract_counts`, so the
     losses hold on any input, compatible or not.
 

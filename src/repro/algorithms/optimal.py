@@ -117,6 +117,14 @@ def optimal_vvs(polynomials, tree, bound, *, clean=True):
     :raises InfeasibleBoundError: when even the coarsest cut exceeds
         ``bound``.
 
+    Among adequate cuts of equal variable loss the tables keep the
+    first they reach. They cap every monomial loss at
+    ``k = |P|_M − bound`` and fold a node's children in tree order, so a
+    tie goes to the cut whose longest proper prefix of children loses
+    more (capped) monomials, then the next-longest prefix, and so on —
+    not to the larger loss that :func:`brute_force_vvs
+    <repro.algorithms.brute_force.brute_force_vvs>` prefers.
+
     >>> from repro.core.parser import parse_set
     >>> polys = parse_set(["2*b1*m1 + 3*b1*m3 + 4*b2*m1 + 5*b2*m3"])
     >>> tree = AbstractionTree.from_nested(("SB", ["b1", "b2"]))

@@ -19,10 +19,10 @@ additionally accepts a one-tree forest, so the uniform call shape
 works for all of them).
 
 ``"auto"`` is not a registered algorithm but a *policy* resolved by
-:func:`choose`: when the (cleaned) forest is a single tree compatible
-with the provenance, the PTIME dynamic program finds the optimal cut —
-use it; any larger forest makes the problem NP-hard (Proposition 11),
-so fall back to the incremental greedy heuristic.
+:func:`choose`: when the (cleaned) forest is a single tree, the PTIME
+dynamic program finds the optimal cut — use it; any larger forest makes
+the problem NP-hard (Proposition 11), so fall back to the incremental
+greedy heuristic.
 """
 
 from __future__ import annotations
@@ -101,17 +101,18 @@ def available():
 def choose(polynomials, forest):
     """The ``auto`` policy: pick an algorithm name for this input.
 
-    A single compatible tree (after footnote-1 cleaning) admits the
-    optimal PTIME dynamic program; everything else gets the incremental
-    greedy. The choice only reads the input — it never runs a solver.
+    A single tree (after footnote-1 cleaning) admits the optimal PTIME
+    dynamic program; everything else gets the incremental greedy. The
+    choice only reads the input — it never runs a solver. It does not
+    check §2.2 compatibility: both solvers run the same check up front
+    and reject incompatible input with the same
+    :class:`~repro.core.forest.CompatibilityError`.
     """
     polynomials = ensure_set(polynomials)
     if isinstance(forest, AbstractionTree):
         forest = AbstractionForest([forest])
     cleaned = forest.clean(polynomials)
-    if len(cleaned.trees) == 1 and cleaned.is_compatible(polynomials):
-        return "optimal"
-    return "greedy"
+    return "optimal" if len(cleaned.trees) == 1 else "greedy"
 
 
 def resolve(name, polynomials=None, forest=None):

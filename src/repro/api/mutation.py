@@ -206,15 +206,9 @@ def extend_artifact(
         raise ValueError(f"{where}: drift_limit must be >= 0, got {limit!r}")
     added = _ensure_added(added)
     forest = artifact.forest
-    internal = forest.labels - forest.leaf_labels
-    clashing = internal & added.variables
-    if clashing:
-        from repro.core.forest import CompatibilityError
-
-        raise CompatibilityError(
-            f"{where}: appended polynomials mention meta-variable(s) "
-            f"{sorted(clashing)} of the abstraction forest"
-        )
+    # §2.2 conditions 2 and 3 on the delta (the check the solvers run):
+    # the loss accounting below relies on a compatible input.
+    added.columnar().tree_columns(forest)
     added_polynomials = len(added)
     added_monomials = added.num_monomials
     bound = max(1, artifact.bound)

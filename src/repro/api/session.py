@@ -261,7 +261,7 @@ class ProvenanceSession:
         :param bound: maximum number of monomials ``B``.
         :param algorithm: a registered name (``"optimal"``, ``"greedy"``,
             ``"brute-force"``, …) or ``"auto"`` — pick the optimal DP
-            for a single compatible tree, the greedy otherwise (see
+            for a single tree, the greedy otherwise (see
             :func:`repro.algorithms.registry.choose`).
         :param options: an :class:`~repro.options.EvalOptions` (or a
             mapping of its fields); validated, but none of its knobs
@@ -346,8 +346,8 @@ class ProvenanceSession:
         :param options: an :class:`~repro.options.EvalOptions` (or a
             mapping of its fields); forwarded to the mutation pipeline
             and, on the fallback path, to :meth:`compress`.
-        :raises CompatibilityError: when ``polynomials`` mention a
-            meta-variable of the forest.
+        :raises CompatibilityError: when a monomial of ``polynomials``
+            holds a meta-variable of the forest or two nodes of one tree.
         """
         from repro.api.mutation import extend_artifact
 

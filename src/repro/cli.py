@@ -37,7 +37,7 @@ from repro.algorithms.decision import exists_precise
 from repro.api.artifact import CompressedProvenance
 from repro.api.session import ProvenanceSession
 from repro.core import serialize
-from repro.core.forest import AbstractionForest
+from repro.core.forest import AbstractionForest, CompatibilityError
 from repro.core.polynomial import PolynomialSet
 from repro.core.valuation import Valuation
 from repro.lint import cli as lint_cli
@@ -132,7 +132,7 @@ def _cmd_extend(args):
             )
         else:
             result = artifact.refresh(added, drift_limit=args.drift_limit)
-    except CompressionError as error:
+    except (CompressionError, CompatibilityError) as error:
         raise SystemExit(str(error)) from None
     extended = result.artifact
     print(f"path:          {result.path}")

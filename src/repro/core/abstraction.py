@@ -30,9 +30,6 @@ a working state instead (see :mod:`repro.algorithms.greedy`).
 
 from __future__ import annotations
 
-import numpy
-
-from repro.core.columnar import run_starts, unique_row_ids
 from repro.core.forest import ValidVariableSet
 from repro.core.interning import VARIABLES
 from repro.core.polynomial import Polynomial, PolynomialSet
@@ -158,6 +155,10 @@ class LossIndex:
         it — a ``searchsorted`` range plus one comparison per pair
         instead of per-monomial ``set()`` unions.
         """
+        import numpy
+
+        from repro.core.columnar import run_starts, unique_row_ids
+
         polynomials = ensure_set(polynomials)
         self.tree = tree
         self._ml = {}

@@ -22,7 +22,8 @@ The definitions (§2.2–§3.2):
 * Algorithm 2 ranks every candidate afresh each round by
   ``(ΔVL, −ΔML, label)``, with both deltas read off ``|P↓S|`` counts;
 * Algorithm 1's optimum is the adequate cut (``|P↓S|_M ≤ B``) of
-  least variable loss, found here by enumerating every cut.
+  least variable loss, found here by enumerating every cut; ties go
+  the way the DP's tables break them (:func:`dp_rank`).
 
 It is deliberately slow: every quantity is recomputed from scratch.
 """
@@ -227,19 +228,56 @@ def greedy(polynomials, forest, bound, *, ml_tie_break=True, do_clean=True):
 def optimum(polynomials, tree, bound):
     """Algorithm 1's answer by enumeration (small trees only).
 
-    Returns ``(least VL among adequate cuts or None, min |P↓S|_M)``.
+    Returns ``(cut or None, min |P↓S|_M)``: among the adequate cuts of
+    least variable loss, the one :func:`dp_rank` puts first.
     """
-    best = None
+    k = size(polynomials) - bound
+    adequate = []
     smallest = None
     for cut in cuts(tree):
-        abstracted_size, _ = counts(polynomials, mapping_of([tree], cut))
+        monomial_loss, variable_loss = losses(
+            polynomials, mapping_of([tree], cut)
+        )
+        abstracted_size = size(polynomials) - monomial_loss
         smallest = abstracted_size if smallest is None else min(
             smallest, abstracted_size
         )
         if abstracted_size <= bound:
-            vl = losses(polynomials, mapping_of([tree], cut))[1]
-            best = vl if best is None else min(best, vl)
+            adequate.append((variable_loss, cut))
+    if not adequate:
+        return None, smallest
+    least = min(variable_loss for variable_loss, _ in adequate)
+    best = max(
+        (cut for variable_loss, cut in adequate if variable_loss == least),
+        key=lambda cut: dp_rank(polynomials, tree, cut, k),
+    )
     return best, smallest
+
+
+def dp_rank(polynomials, tree, cut, k):
+    """The order Algorithm 1's tables give cuts of equal VL (larger wins).
+
+    The paper leaves ties open. The DP caps every monomial loss at
+    ``k = |P|_M − B`` and folds a node's children in tree order. On a
+    tie it keeps the cut whose longest proper prefix of children loses
+    more (capped) monomials, then the next-longest prefix, and so on;
+    then the one whose children lose more, child by child; then each
+    child's own rank, in order.
+    """
+    if label_of(tree) in cut:
+        return (0,)
+    children = children_of(tree)
+    child_ml = [
+        losses(polynomials, mapping_of([child], cut))[0] for child in children
+    ]
+    prefixes = [
+        min(k, sum(child_ml[:j])) for j in range(len(children) - 1, 0, -1)
+    ]
+    return (
+        1,
+        prefixes + [min(k, ml) for ml in child_ml],
+        [dp_rank(polynomials, child, cut, k) for child in children],
+    )
 
 
 def brute_force(polynomials, forest, bound):

@@ -504,31 +504,61 @@ class TestOptimalBackend:
     @settings(deadline=None, max_examples=40)
     @given(compatible_instances(max_trees=1), st.integers(1, 4))
     def test_columnar_run_is_identical(self, instance, divisor):
-        """The DP's cut is an optimal adequate cut; its losses and the
-        infeasibility floor match the enumerated optimum."""
+        """The DP's cut is the enumerated optimum, ties included; its
+        losses and the infeasibility floor match too."""
         polys, forest = instance
         tree = forest.trees[0]
         bound = max(1, polys.num_monomials // divisor)
         reference = plain(polys)
         cleaned = tree.clean(polys.variables)
         assume(cleaned is not None)
-        best_vl, smallest = oracle.optimum(
-            reference, cleaned.to_nested(), bound
-        )
-        if best_vl is None:
+        cut, smallest = oracle.optimum(reference, cleaned.to_nested(), bound)
+        if cut is None:
             with pytest.raises(InfeasibleBoundError) as caught:
                 optimal_vvs(polys, tree, bound)
             assert caught.value.min_achievable_size == smallest
             return
         result = optimal_vvs(polys, tree, bound)
-        assert result.vvs.labels in oracle.cuts(cleaned.to_nested())
-        mapping = oracle.mapping_of([cleaned.to_nested()], result.vvs.labels)
+        assert result.vvs.labels == cut
+        mapping = oracle.mapping_of([cleaned.to_nested()], cut)
         assert (result.monomial_loss, result.variable_loss) == oracle.losses(
             reference, mapping
         )
         assert result.abstracted_size == oracle.counts(reference, mapping)[0]
         assert result.abstracted_size <= bound
-        assert result.variable_loss == best_vl
+
+    @pytest.mark.parametrize("order, expected", [
+        ("ABC", {"B", "C"}),
+        ("ACB", {"A", "C"}),
+        ("BAC", {"B", "C"}),
+        ("BCA", {"B", "C"}),
+        ("CAB", {"A", "C"}),
+        ("CBA", {"B", "C"}),
+    ])
+    def test_ties_follow_the_children_order(self, order, expected):
+        """{A, C} and {B, C} both lose one variable per merge and reach
+        the bound (ML 4 and 5 against k = 4). The DP keeps the one whose
+        first two children lose more monomials, capped at k — not the
+        larger ML that brute force prefers."""
+        polys = parse_set([
+            "a1*x + a2*x + b1*x + b2*x + b1*y + b2*y"
+            " + c1*x + c2*x + c1*y + c2*y + c1*z + c2*z"
+        ])
+        children = {
+            "A": ("A", ["a1", "a2"]),
+            "B": ("B", ["b1", "b2"]),
+            "C": ("C", ["c1", "c2"]),
+        }
+        spec = ("R", [children[label] for label in order])
+        tree = AbstractionTree.from_nested(spec)
+        result = optimal_vvs(polys, tree, bound=8)
+        assert {label for label in result.vvs.labels if label.isupper()} == (
+            expected
+        )
+        assert result.vvs.labels == oracle.optimum(plain(polys), spec, 8)[0]
+        assert brute_force_vvs(polys, tree, 8).vvs.labels == {
+            "a1", "a2", "B", "C"
+        }
 
 
 class TestBruteForce:

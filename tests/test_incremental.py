@@ -350,6 +350,23 @@ class TestDriftFallback:
         with pytest.raises(CompatibilityError, match="SB1"):
             session.extend(meta, artifact)
 
+    @pytest.mark.parametrize("factors, where", [
+        ([("SB1", 1), ("x", 1)], "meta-variable 'SB1'"),
+        ([("b1", 1), ("b3", 2)], "more than one node"),
+    ])
+    def test_incompatible_delta_rejected_before_mutating(
+        self, factors, where
+    ):
+        """A delta breaking §2.2 condition 2 or 3 fails the solvers'
+        own check, and the artifact is left as it was."""
+        _, artifact = self.setup_artifact()
+        before = list(artifact.polynomials)
+        delta = PolynomialSet([Polynomial({Monomial(factors): 1})])
+        with pytest.raises(CompatibilityError, match=where):
+            artifact.refresh(delta)
+        assert list(artifact.polynomials) == before
+        assert artifact.revision == 0
+
 
 def serialize_free_delta():
     """Free-variable-only polynomials: nothing abstracts away, so every
@@ -550,6 +567,19 @@ class TestCliExtend:
                 "--added", str(delta_path),
                 "--drift-limit", "0.0",
             ])
+
+    def test_incompatible_delta_exits_with_one_line(self, tmp_path):
+        from repro.cli import main
+
+        _, artifact = compress_base(PolynomialSet([anchor_polynomial()]))
+        artifact_path = tmp_path / "artifact.json"
+        artifact.save(artifact_path, format="json")
+        delta_path = tmp_path / "delta.json"
+        delta_path.write_text(serialize.dumps(PolynomialSet([
+            Polynomial({Monomial([("b1", 1), ("b2", 1)]): 1}),
+        ])))
+        with pytest.raises(SystemExit, match="more than one node"):
+            main(["extend", str(artifact_path), "--added", str(delta_path)])
 
 
 # ---------------------------------------------------------------------------

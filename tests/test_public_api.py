@@ -2,8 +2,14 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 PUBLIC_MODULES = [
     "repro",
@@ -73,6 +79,28 @@ def test_lazy_exports_are_discoverable():
         assert name in listed, name
         assert name in repro.__all__, name
         assert getattr(repro, name) is not None, name
+
+
+def test_import_repro_and_lint_without_numpy():
+    """``import repro`` and the stdlib lint entry load with numpy absent.
+
+    The CI lint job installs no numpy; a module-level ``import numpy``
+    reachable from ``repro/__init__`` would break it.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import repro.lint\n"
+        "import repro\n"
+        "import repro.core\n"
+        "from repro.lint import __main__\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("module_name", PUBLIC_MODULES)
