@@ -46,12 +46,12 @@ perf trajectory behind:
   identical);
 * **service** — the what-if HTTP server (``repro.service``) under a
   16-client closed-loop single-scenario barrage: naive per-request
-  dispatch (``window=0``, each scenario lifted by the definitional
+  dispatch (``max_batch=1``, each scenario lifted by the definitional
   walk over every group of the cut) against the production serving
-  stack (micro-batch coalescing + the cut's lift index), answers
-  asserted bit-identical to direct ``ask_many``, with a contract floor
-  of 3x; also records p50/p99 latency and the coalesced batch-size
-  histogram.
+  stack at its defaults (micro-batch coalescing + the cut's lift
+  index), answers asserted bit-identical to direct ``ask_many``, with
+  a contract floor of 3x; also records p50/p99 latency and the
+  coalesced batch-size histogram.
 
 The JSON document (schema ``repro-bench-core/8``) keys one run entry
 per mode under ``runs`` and merges into an existing file, so the
@@ -727,9 +727,6 @@ def bench_session(provenance, forest, scenarios, repeat):
     }
 
 
-#: Coalescing window of the service stage's batched arm (seconds).
-SERVICE_WINDOW = 0.005
-
 #: Per-request deadline for the service stage (seconds). The bench
 #: measures the server as deployed — deadlines armed — while staying
 #: far above any sane request latency, so the gate never trips on it.
@@ -800,9 +797,10 @@ def _walking_lift():
         yield
 
 
-def _host_service(spool, window, max_batch):
+def _host_service(spool, **service_kwargs):
     """Boot the what-if service on a background event-loop thread.
 
+    ``service_kwargs`` override :func:`start_service`'s defaults.
     Returns ``(loop, thread, server)``; stop with :func:`_stop_service`.
     """
     import asyncio
@@ -819,8 +817,7 @@ def _host_service(spool, window, max_batch):
 
         async def boot():
             box["server"] = await start_service(
-                spool, window=window,
-                max_batch=max_batch, deadline=SERVICE_DEADLINE,
+                spool, deadline=SERVICE_DEADLINE, **service_kwargs
             )
 
         loop.run_until_complete(boot())
@@ -911,12 +908,12 @@ def bench_service(spec, repeat, seed=47):
     same closed-loop fleet of ``service_clients`` keep-alive
     connections issuing single-scenario asks:
 
-    * **uncoalesced** — ``window=0`` (every request is its own batch)
-      and the definitional lift (:func:`_walking_lift`: each request
-      walks every group of the cut): what a naive one-ask-per-request
-      server does;
-    * **coalesced** — the production configuration: requests landing
-      within :data:`SERVICE_WINDOW` of each other merge into one
+    * **uncoalesced** — ``max_batch=1`` (every request is its own
+      batch) and the definitional lift (:func:`_walking_lift`: each
+      request walks every group of the cut): what a naive
+      one-ask-per-request server does;
+    * **coalesced** — the server's defaults: asks parked while other
+      admitted requests are still on their way merge into one
       evaluator call, lifted through the cut's lift index.
 
     Reported: wall-clock requests/sec for both arms, p50/p99 request
@@ -959,17 +956,12 @@ def bench_service(spec, repeat, seed=47):
 
     arms = {}
     histogram = {}
-    for arm, window, lifting in (
-        ("uncoalesced", 0.0, _walking_lift),
-        ("coalesced", SERVICE_WINDOW, contextlib.nullcontext),
+    for arm, service_kwargs, lifting in (
+        ("uncoalesced", {"max_batch": 1}, _walking_lift),
+        ("coalesced", {}, contextlib.nullcontext),
     ):
         with tempfile.TemporaryDirectory() as spool, lifting():
-            # max_batch = fleet size: a closed-loop round flushes the
-            # moment every client's request has arrived, so the window
-            # only pads the arrival tail instead of stalling each batch.
-            loop, thread, server = _host_service(
-                spool, window, max_batch=clients
-            )
+            loop, thread, server = _host_service(spool, **service_kwargs)
             try:
                 artifact_id = server.service.store.put(artifact)
                 best = None
@@ -1004,7 +996,6 @@ def bench_service(spec, repeat, seed=47):
         "polynomials": len(provenance),
         "monomials": provenance.num_monomials,
         "bound": bound,
-        "window_ms": SERVICE_WINDOW * 1e3,
         "seconds_uncoalesced": arms["uncoalesced"]["seconds"],
         "seconds_coalesced": arms["coalesced"]["seconds"],
         "rps_uncoalesced": arms["uncoalesced"]["rps"],

@@ -356,6 +356,9 @@ class ProvenanceSession:
             added = ensure_set(polynomials)
         else:
             added = PolynomialSet(polynomials)
+        # Check the delta before the session grows: a rejected extend
+        # must leave the session as it was.
+        added.columnar().tree_columns(artifact.forest)
         # Grow the session first (repairing its caches in place): the
         # recompress fallback must see the full extended provenance.
         self.polynomials.extend(added.polynomials)

@@ -388,14 +388,12 @@ def _cmd_serve(args):
             host=args.host,
             port=args.port,
             capacity=args.cache_size,
-            window=args.window,
             max_batch=args.max_batch,
             deadline=args.deadline if args.deadline > 0 else None,
             max_pending=args.max_pending if args.max_pending > 0 else None,
         )
         print(f"serving on http://{args.host}:{server.port} "
               f"(spool: {args.spool_dir}, cache: {args.cache_size}, "
-              f"window: {args.window * 1000:g}ms, "
               f"deadline: {args.deadline:g}s, "
               f"max-pending: {args.max_pending})")
         try:
@@ -577,13 +575,10 @@ def build_parser():
                        dest="cache_size",
                        help="resident (mmap-backed) artifacts kept warm; "
                             "older ones re-map on demand (default 8)")
-    serve.add_argument("--window", type=float, default=0.002,
-                       help="micro-batch coalescing window in seconds; "
-                            "0 disables coalescing (default 0.002)")
     serve.add_argument("--max-batch", type=int, default=64,
                        dest="max_batch",
-                       help="flush a coalesced batch early at this size "
-                            "(default 64)")
+                       help="flush coalesced asks once this many are "
+                            "parked; 1 disables coalescing (default 64)")
     serve.add_argument("--deadline", type=float, default=30.0,
                        help="per-request deadline budget in seconds; "
                             "expired requests answer 504; 0 disables "

@@ -9,9 +9,11 @@ Endpoints (all JSON):
   specs), the ``"bound"``, and optionally ``"algorithm"`` and
   ``"options"``. Returns ``201`` with the content-hash ``id``.
 * ``POST /artifacts/{id}/ask`` — answer scenarios. A single
-  ``"scenario"`` rides the micro-batcher (coalescing concurrent
-  requests into one evaluator call); a ``"scenarios"`` list is already
-  a batch and dispatches directly.
+  ``"scenario"`` rides the micro-batcher, which holds it only while
+  another admitted request is still on its way there (coalescing
+  concurrent requests into one evaluator call; a lone ask flushes on
+  the next loop turn); a ``"scenarios"`` list is already a batch and
+  dispatches directly.
 * ``POST /artifacts/{id}/extend`` — append provenance incrementally.
   The body carries the new original polynomials as strings
   (``"polynomials"``), plus optional ``"drift_limit"`` and
@@ -84,6 +86,11 @@ def _status_for(error: BaseException) -> int:
 class WhatIfService:
     """The request handler: a store, a batcher, and the route table.
 
+    The in-flight count that ``max_pending`` and :meth:`drain` use is
+    also the batcher's admission count: a parked ask flushes once every
+    admitted request has parked or left (see
+    :mod:`repro.service.batcher`).
+
     Resilience knobs (all off/neutral by default so embedded uses and
     tests opt in; ``python -m repro serve`` turns them on):
 
@@ -103,7 +110,6 @@ class WhatIfService:
         self,
         store: ArtifactStore,
         *,
-        window: float = 0.002,
         max_batch: int = 64,
         options: EvalOptions | None = None,
         deadline: float | None = None,
@@ -112,7 +118,9 @@ class WhatIfService:
         breaker_cooldown: float = 30.0,
     ) -> None:
         self.store = store
-        self.batcher = MicroBatcher(window=window, max_batch=max_batch)
+        self.batcher = MicroBatcher(
+            max_batch=max_batch, admitted=lambda: self._inflight
+        )
         self.options = EvalOptions.coerce(options)
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be > 0, got {deadline}")
@@ -176,6 +184,7 @@ class WhatIfService:
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle.set()
+            self.batcher.recheck()
 
     async def _route(self, request: Request) -> tuple[int, dict]:
         method, path = request.method, request.path.rstrip("/") or "/"
@@ -213,7 +222,6 @@ class WhatIfService:
             "requests": self.requests,
             "store": self.store.stats(),
             "batcher": {
-                "window_seconds": self.batcher.window,
                 "max_batch": self.batcher.max_batch,
                 "batches": self.batcher.batches,
                 "coalesced_requests": self.batcher.coalesced,
@@ -426,7 +434,6 @@ async def start_service(
     host: str = "127.0.0.1",
     port: int = 0,
     capacity: int = 8,
-    window: float = 0.002,
     max_batch: int = 64,
     options: EvalOptions | None = None,
     deadline: float | None = None,
@@ -437,7 +444,7 @@ async def start_service(
     """Bind the what-if service; returns the running server handle."""
     store = ArtifactStore(spool, capacity=capacity)
     service = WhatIfService(
-        store, window=window, max_batch=max_batch, options=options,
+        store, max_batch=max_batch, options=options,
         deadline=deadline, max_pending=max_pending,
         breaker_threshold=breaker_threshold,
         breaker_cooldown=breaker_cooldown,
@@ -561,10 +568,12 @@ def _scenario_from(entry: object, index: int):
         isinstance(variable, str)
         and isinstance(value, (int, float))
         and not isinstance(value, bool)
+        and -math.inf < value < math.inf  # NaN, ±Infinity
         for variable, value in changes.items()
     ):
         raise HttpError(
-            400, "scenario 'changes' must map variable names to numbers"
+            400,
+            "scenario 'changes' must map variable names to finite numbers",
         )
     name = entry.get("name")
     if name is not None and not isinstance(name, str):

@@ -4,15 +4,20 @@ The compiled evaluator's throughput comes from batching — one
 ``ask_many`` over S scenarios costs one lift pass plus one matrix
 product, while S separate ``ask`` calls pay S evaluator invocations.
 Interactive clients, though, naturally send one scenario per request.
-The :class:`MicroBatcher` bridges the two: a request parks for at most
-``window`` seconds; every request for the same key (artifact, default)
-that arrives inside the window joins the same batch; the batch is
-answered by **one** evaluator call and the answers fan back out to the
-waiting requests. Under concurrency the window fills and per-request
-cost approaches the amortized batch cost; an idle server adds at most
-``window`` latency.
+The :class:`MicroBatcher` bridges the two: a request parks under its
+key (artifact, default); every open batch flushes — one evaluator call
+per key, the answers fanned back out to the waiting requests — once no
+admitted request is still on its way to the batcher, or once
+``max_batch`` asks are parked in total.
 
-``window <= 0`` disables coalescing — every request is its own batch of
+There is no timer. The check runs one event-loop turn after an ask
+parks and again whenever an admitted request leaves, so a lone ask is
+answered one loop turn after it parks, while asks admitted together
+park before the check runs and share one evaluator call. A request
+still arriving over the network is not admitted, so no batch waits on
+a slow client.
+
+``max_batch=1`` disables coalescing — every request is its own batch of
 one. The service bench's *uncoalesced* arm runs exactly that
 configuration, so the gated speedup measures what the batcher (plus the
 warm lift index it feeds) buys.
@@ -30,11 +35,18 @@ __all__ = ["MicroBatcher"]
 
 
 class MicroBatcher:
-    """Coalesce awaitable submissions per key into windowed batches.
+    """Coalesce awaitable submissions per key until nothing else is
+    on its way.
 
-    :param window: seconds a batch stays open after its first entry;
-        ``<= 0`` flushes every submission immediately (no coalescing).
-    :param max_batch: flush early once a batch reaches this size.
+    :param max_batch: flush every open batch once this many asks are
+        parked across all keys. It bounds how long one flush holds the
+        loop, and how many later asks an ask for a quiet key can wait
+        behind.
+    :param admitted: the number of requests admitted and not yet
+        finished, parked ones included (the service passes its
+        in-flight count). Without it every check flushes, so a
+        standalone batcher coalesces the asks submitted within one loop
+        turn.
 
     Evaluation runs synchronously on the event loop at flush time —
     the evaluator is CPU-bound NumPy, so handing it to a thread would
@@ -42,14 +54,18 @@ class MicroBatcher:
     every flushed batch (size → count) for the bench stage.
     """
 
-    def __init__(self, window: float = 0.002, max_batch: int = 64) -> None:
+    def __init__(
+        self,
+        max_batch: int = 64,
+        admitted: Callable[[], int] | None = None,
+    ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.window = float(window)
         self.max_batch = int(max_batch)
+        self._admitted = admitted
         #: key -> ([(item, future), ...], evaluate)
         self._pending: dict = {}
-        self._timers: dict = {}
+        self._check: asyncio.Handle | None = None
         self.batch_sizes: dict[int, int] = {}
         self.batches = 0
         self.coalesced = 0  # requests answered by a batch of size > 1
@@ -67,24 +83,44 @@ class MicroBatcher:
         callable — all submissions sharing a key must be answerable by
         the same call, which the key (artifact id, default) guarantees.
         """
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
+        future = asyncio.get_running_loop().create_future()
         bucket = self._pending.get(key)
         if bucket is None:
             bucket = self._pending[key] = ([], evaluate)
-            if self.window > 0:
-                self._timers[key] = loop.call_later(
-                    self.window, self._flush, key
-                )
         bucket[0].append((item, future))
-        if self.window <= 0 or len(bucket[0]) >= self.max_batch:
-            self._flush(key)
-        return await future
+        if self.pending >= self.max_batch:
+            self.drain()
+        else:
+            self.recheck()
+        try:
+            return await future
+        except asyncio.CancelledError:
+            # A waiter past its deadline leaves its batch: it no longer
+            # counts as parked, and its item is not evaluated.
+            entries = bucket[0]
+            entries[:] = [entry for entry in entries if entry[1] is not future]
+            if not entries and self._pending.get(key) is bucket:
+                del self._pending[key]
+            raise
+
+    def recheck(self) -> None:
+        """Run the flush check on the next loop turn.
+
+        Called when an ask parks and whenever an admitted request
+        leaves; at most one check is pending. The check is deferred
+        rather than run in place: the loop turn lets requests that were
+        admitted meanwhile (on Python 3.11, ``wait_for`` starts the
+        handler a turn later) park in the same batch.
+        """
+        if self._pending and self._check is None:
+            self._check = asyncio.get_running_loop().call_soon(self._settle)
+
+    def _settle(self) -> None:
+        self._check = None
+        if self._admitted is None or self._admitted() <= self.pending:
+            self.drain()
 
     def _flush(self, key: Hashable) -> None:
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
         bucket = self._pending.pop(key, None)
         if bucket is None:
             return
@@ -107,7 +143,8 @@ class MicroBatcher:
                 future.set_result(result)
 
     def drain(self) -> None:
-        """Flush every open batch now (graceful shutdown).
+        """Flush every open batch now (the cap, the settled check and
+        graceful shutdown).
 
         Flushing resolves the parked futures synchronously, so after
         ``drain()`` returns no request is waiting on the batcher; the

@@ -1,5 +1,7 @@
 """Shared fixtures: the paper's running example and small workloads."""
 
+import asyncio
+
 import pytest
 
 from repro.core.forest import AbstractionForest
@@ -54,3 +56,26 @@ def small_telephony():
     """A small, session-cached telephony benchmark."""
     return TelephonyBenchmark(customers=60, num_plans=16, months=6,
                               zip_pool=8, seed=11)
+
+
+@pytest.fixture
+def hold(monkeypatch):
+    """A ``GET /hold`` route on every what-if service the test boots.
+
+    A request to it is admitted, never parks in the batcher and
+    finishes only once the returned :class:`asyncio.Event` is set (or
+    its deadline passes), so single asks parked meanwhile stay parked.
+    """
+    from repro.service.app import WhatIfService
+
+    release = asyncio.Event()
+    route = WhatIfService._route
+
+    async def holding_route(self, request):
+        if request.path != "/hold":
+            return await route(self, request)
+        await release.wait()
+        return 200, {}
+
+    monkeypatch.setattr(WhatIfService, "_route", holding_route)
+    return release

@@ -487,3 +487,12 @@ class TestServe:
         with pytest.raises(SystemExit, match="--max-pending must be >= 0"):
             main(["serve", "--spool-dir", str(tmp_path),
                   "--max-pending", "-5"])
+
+    def test_window_flag_is_gone(self, tmp_path, capsys):
+        """Batches flush by rule, not on a timer: ``--window`` is an
+        argparse error (exit 2) before any server starts."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--spool-dir", str(tmp_path),
+                  "--window", "0.002", "--deadline", "-1"])
+        assert exit_info.value.code == 2
+        assert "--window" in capsys.readouterr().err

@@ -358,14 +358,22 @@ class TestDriftFallback:
         self, factors, where
     ):
         """A delta breaking §2.2 condition 2 or 3 fails the solvers'
-        own check, and the artifact is left as it was."""
-        _, artifact = self.setup_artifact()
+        own check, and the artifact and the session are left as they
+        were: a later compress of the session still works."""
+        session, artifact = self.setup_artifact()
         before = list(artifact.polynomials)
+        sizes = len(session.polynomials), session.polynomials.num_monomials
         delta = PolynomialSet([Polynomial({Monomial(factors): 1})])
         with pytest.raises(CompatibilityError, match=where):
             artifact.refresh(delta)
+        with pytest.raises(CompatibilityError, match=where):
+            session.extend(delta, artifact)
         assert list(artifact.polynomials) == before
         assert artifact.revision == 0
+        assert (
+            len(session.polynomials), session.polynomials.num_monomials
+        ) == sizes
+        assert session.compress(artifact.bound, algorithm="greedy") == artifact
 
 
 def serialize_free_delta():

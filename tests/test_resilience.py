@@ -26,8 +26,8 @@ from repro.scenarios.parallel import (
     evaluate_scenarios_parallel,
     iter_value_blocks,
 )
-from repro.service.app import start_service
-from repro.service.http import HttpError
+from repro.service.app import WhatIfService, start_service
+from repro.service.http import HttpError, Request
 from repro.service.resilience import CircuitBreaker
 from repro.service.store import ArtifactStore
 from repro.util.retry import RetryPolicy
@@ -345,6 +345,15 @@ def call(port, method, path, body=None):
         conn.close()
 
 
+async def until(condition, timeout=10.0):
+    """Poll ``condition`` on the event loop; fail after ``timeout`` s."""
+    loop = asyncio.get_running_loop()
+    give_up = loop.time() + timeout
+    while not condition():
+        assert loop.time() < give_up, "condition not reached in time"
+        await asyncio.sleep(0.005)
+
+
 def with_server(scenario, **service_kwargs):
     async def main(tmp_path):
         server = await start_service(tmp_path, **service_kwargs)
@@ -357,51 +366,61 @@ def with_server(scenario, **service_kwargs):
 
 
 class TestServiceResilience:
-    def test_deadline_expiry_is_504(self, tmp_path):
-        async def scenario(server):
-            port = server.port
-            status, _, created = await asyncio.to_thread(
-                call, port, "POST", "/artifacts", artifact_body())
-            assert status == 201
-            # A 30 s batch window parks the single ask far past the
-            # 0.2 s deadline — only the deadline can answer it.
-            status, _, body = await asyncio.to_thread(
-                call, port, "POST", f"/artifacts/{created['id']}/ask",
-                {"scenario": {"changes": PROBE}})
-            _, _, health = await asyncio.to_thread(
-                call, port, "GET", "/healthz")
-            return status, body, health
+    def test_deadline_expiry_is_504(self, tmp_path, hold):
+        """An ask parked past its deadline answers 504 and leaves its
+        batch unevaluated. A request admitted in the same loop turn
+        that never parks (``GET /hold``, never released) keeps the ask
+        parked; both outlive the 0.2 s deadline."""
+        service = WhatIfService(ArtifactStore(tmp_path), deadline=0.2)
+        artifact_id = service.store.put(build_artifact())
+        ask = Request(
+            "POST", f"/artifacts/{artifact_id}/ask", "HTTP/1.1",
+            body=json.dumps({"scenario": {"changes": PROBE}}).encode(),
+        )
 
-        status, body, health = asyncio.run(
-            with_server(scenario, window=30.0, deadline=0.2)(tmp_path))
-        assert status == 504
-        assert "deadline" in body["error"]["message"]
-        assert health["resilience"]["timed_out"] == 1
+        async def scenario():
+            return await asyncio.gather(
+                service.handle(ask),
+                service.handle(Request("GET", "/hold", "HTTP/1.1")),
+                return_exceptions=True,
+            )
+
+        replies = asyncio.run(asyncio.wait_for(scenario(), 10))
+        assert [getattr(reply, "status", reply) for reply in replies] == [
+            504, 504]
+        assert "deadline" in str(replies[0])
+        assert (service.batcher.pending, service.batcher.batches) == (0, 0)
+        health = service._healthz()
+        assert health["resilience"]["timed_out"] == 2
         assert health["resilience"]["deadline_seconds"] == 0.2
 
-    def test_backpressure_sheds_with_retry_after(self, tmp_path):
+    def test_backpressure_sheds_with_retry_after(self, tmp_path, hold):
         async def scenario(server):
             port = server.port
             status, _, created = await asyncio.to_thread(
                 call, port, "POST", "/artifacts", artifact_body())
             assert status == 201
-            parked = asyncio.ensure_future(asyncio.to_thread(
+            held = asyncio.ensure_future(
+                asyncio.to_thread(call, port, "GET", "/hold"))
+            await until(lambda: server.service._inflight == 1)
+            shed = await asyncio.to_thread(
                 call, port, "POST", f"/artifacts/{created['id']}/ask",
-                {"scenario": {"changes": PROBE}}))
-            while server.service.batcher.pending == 0:
-                await asyncio.sleep(0.01)
-            shed = await asyncio.to_thread(call, port, "GET", "/healthz")
-            await server.aclose()  # drain answers the parked request
-            return shed, await parked
+                {"scenario": {"changes": PROBE}})
+            hold.set()  # the slot frees once the held request leaves
+            held_status, _, _ = await held
+            admitted = await asyncio.to_thread(
+                call, port, "POST", f"/artifacts/{created['id']}/ask",
+                {"scenario": {"changes": PROBE}})
+            return shed, held_status, admitted
 
-        (status, headers, body), (parked_status, _, parked_body) = (
-            asyncio.run(with_server(
-                scenario, window=30.0, max_pending=1)(tmp_path)))
+        (status, headers, body), held_status, (ask_status, _, ask_body) = (
+            asyncio.run(with_server(scenario, max_pending=1)(tmp_path)))
         assert status == 503
         assert headers.get("Retry-After") == "1"
         assert "admission queue full" in body["error"]["message"]
-        assert parked_status == 200
-        assert parked_body["answers"][0]["values"]
+        assert held_status == 200
+        assert ask_status == 200
+        assert ask_body["answers"][0]["values"]
 
     def test_repeated_map_failures_open_the_breaker(self, tmp_path):
         async def scenario(server):
@@ -447,8 +466,6 @@ class TestServiceResilience:
         assert resilience["inflight"] >= 0  # the healthz request itself
 
     def test_resilience_knobs_validated(self, tmp_path):
-        from repro.service.app import WhatIfService
-
         store = ArtifactStore(tmp_path)
         with pytest.raises(ValueError, match="deadline"):
             WhatIfService(store, deadline=0.0)

@@ -16,8 +16,9 @@ import pytest
 from repro.api.artifact import CompressedProvenance
 from repro.api.session import ProvenanceSession
 from repro.errors import ArtifactNotFound, SerializeError
-from repro.service.app import start_service
+from repro.service.app import WhatIfService, start_service
 from repro.service.batcher import MicroBatcher
+from repro.service.http import Request
 from repro.service.store import ArtifactStore
 from repro.service.warm import WarmArtifact
 
@@ -69,6 +70,15 @@ def with_server(scenario, **service_kwargs):
             await server.aclose()
 
     return main
+
+
+async def until(condition, timeout=10.0):
+    """Poll ``condition`` on the event loop; fail after ``timeout`` s."""
+    loop = asyncio.get_running_loop()
+    give_up = loop.time() + timeout
+    while not condition():
+        assert loop.time() < give_up, "condition not reached in time"
+        await asyncio.sleep(0.005)
 
 
 def direct_answers(bound=2):
@@ -256,10 +266,12 @@ class TestEndToEnd:
 
 class TestCoalescing:
     def test_concurrent_asks_share_one_evaluator_call(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, hold
     ):
-        """K concurrent single-scenario requests inside the window are
-        answered by exactly one ``CompressedProvenance.ask_many`` call."""
+        """K single-scenario requests parked while another admitted
+        request is unparked wait, turn after turn, and are answered by
+        exactly one ``CompressedProvenance.ask_many`` call once it
+        leaves."""
         calls = []
         real_ask_many = CompressedProvenance.ask_many
 
@@ -280,14 +292,15 @@ class TestCoalescing:
             assert status == 201
             artifact_id = created["id"]
             calls.clear()  # ignore any warming traffic
+            held = asyncio.ensure_future(
+                asyncio.to_thread(call, port, "GET", "/hold"))
+            await until(lambda: server.service._inflight == 1)
 
             # Explicit threads: asyncio.to_thread's default pool is
-            # too small on 1-CPU boxes to host a Barrier this wide.
-            barrier = threading.Barrier(concurrency)
+            # too small on 1-CPU boxes to host this many blocked calls.
             results = [None] * concurrency
 
             def one(index):
-                barrier.wait()
                 results[index] = call(
                     port, "POST", f"/artifacts/{artifact_id}/ask",
                     {"scenario": {"changes": {"b1": 0.25 * (index + 1)}}})
@@ -298,13 +311,17 @@ class TestCoalescing:
             ]
             for thread in threads:
                 thread.start()
-            while any(thread.is_alive() for thread in threads):
-                await asyncio.sleep(0.01)
-            return results, dict(server.service.batcher.batch_sizes)
+            batcher = server.service.batcher
+            await until(lambda: batcher.pending == concurrency)
+            await asyncio.sleep(0.05)
+            assert (batcher.pending, batcher.batches) == (concurrency, 0)
+            hold.set()
+            await until(
+                lambda: not any(thread.is_alive() for thread in threads))
+            assert (await held)[0] == 200
+            return results, dict(batcher.batch_sizes)
 
-        results, histogram = asyncio.run(
-            # A generous window: every request lands inside one batch.
-            with_server(scenario, window=0.25)(tmp_path))
+        results, histogram = asyncio.run(with_server(scenario)(tmp_path))
         assert [status for status, _ in results] == [200] * concurrency
         assert calls == [concurrency]
         assert histogram == {concurrency: 1}
@@ -314,21 +331,90 @@ class TestCoalescing:
         }
         assert len(values) == concurrency  # distinct scenarios, distinct rows
 
-    def test_zero_window_disables_coalescing(self, tmp_path):
-        async def scenario(server):
+    @pytest.mark.parametrize("deadline", [None, 30.0])
+    def test_asks_admitted_in_one_turn_share_one_call(
+        self, tmp_path, deadline
+    ):
+        """Asks admitted in one loop turn park before the check runs —
+        also when a deadline starts each handler a turn later — and are
+        answered by one evaluator call."""
+        session = ProvenanceSession.from_strings(
+            POLYNOMIALS,
+            forest=[("SB", ["b1", "b2", "b3"]), ("SM", ["m1", "m2"])],
+        )
+        artifact = session.compress(2, algorithm="greedy")
+        service = WhatIfService(ArtifactStore(tmp_path), deadline=deadline)
+        artifact_id = service.store.put(artifact)
+        path = f"/artifacts/{artifact_id}/ask"
+
+        async def scenario():
+            return await asyncio.gather(*(
+                service.handle(Request(
+                    "POST", path, "HTTP/1.1",
+                    body=json.dumps({"scenario": entry}).encode(),
+                ))
+                for entry in SCENARIOS
+            ))
+
+        replies = asyncio.run(asyncio.wait_for(scenario(), 10))
+        assert service.batcher.batch_sizes == {len(SCENARIOS): 1}
+        assert [status for status, _ in replies] == [200] * len(SCENARIOS)
+        assert [
+            tuple(payload["answers"][0]["values"]) for _, payload in replies
+        ] == [answer.values for answer in direct_answers()]
+
+    def test_sequential_asks_and_max_batch_one_do_not_coalesce(
+        self, tmp_path, hold
+    ):
+        """Under the defaults, asks sent one after another over one
+        connection each flush alone; with ``max_batch=1`` even asks
+        parked behind an unparked request never coalesce."""
+
+        def sequential(port, path):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                for _ in range(3):
+                    conn.request(
+                        "POST", path,
+                        body=json.dumps(
+                            {"scenario": {"changes": {"b1": 0.5}}}).encode(),
+                        headers={"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+            finally:
+                conn.close()
+
+        async def one_connection(server):
             port = server.port
             status, created = await asyncio.to_thread(
                 call, port, "POST", "/artifacts", artifact_body())
-            artifact_id = created["id"]
-            for index in range(3):
-                status, _ = await asyncio.to_thread(
-                    call, port, "POST", f"/artifacts/{artifact_id}/ask",
-                    {"scenario": {"changes": {"b1": 0.5}}})
-                assert status == 200
+            await asyncio.to_thread(
+                sequential, port, f"/artifacts/{created['id']}/ask")
             return dict(server.service.batcher.batch_sizes)
 
-        histogram = asyncio.run(with_server(scenario, window=0)(tmp_path))
-        assert histogram == {1: 3}
+        async def behind_hold(server):
+            port = server.port
+            status, created = await asyncio.to_thread(
+                call, port, "POST", "/artifacts", artifact_body())
+            held = asyncio.ensure_future(
+                asyncio.to_thread(call, port, "GET", "/hold"))
+            await until(lambda: server.service._inflight == 1)
+            replies = await asyncio.gather(*(
+                asyncio.to_thread(
+                    call, port, "POST", f"/artifacts/{created['id']}/ask",
+                    {"scenario": entry})
+                for entry in SCENARIOS
+            ))
+            hold.set()
+            await held
+            return replies, dict(server.service.batcher.batch_sizes)
+
+        assert asyncio.run(with_server(one_connection)(tmp_path)) == {1: 3}
+        replies, histogram = asyncio.run(with_server(
+            behind_hold, max_batch=1)(tmp_path / "max-batch-1"))
+        assert [status for status, _ in replies] == [200] * len(SCENARIOS)
+        assert histogram == {1: len(SCENARIOS)}
 
 
 class TestStoreLru:
@@ -456,7 +542,17 @@ class TestErrorPaths:
 
     def test_non_finite_default_is_400(self, tmp_path):
         """``json.loads`` accepts ``NaN`` and ``Infinity``; an ask must
-        not, or every NaN ask would add a lift-cache entry."""
+        not, in its ``"default"`` or in a scenario's ``"changes"``: every
+        NaN default would add a lift-cache entry, and non-finite answers
+        would render as tokens that are not JSON (RFC 8259)."""
+        bodies = (
+            b'{"default": %s, "scenario": {"changes": {"b1": 2.0}}}',
+            b'{"default": %s, "scenarios": [{"changes": {"b1": 2.0}}]}',
+            b'{"scenario": {"changes": {"b1": %s}}}',
+            b'{"scenarios": [{"changes": {"b1": 2.0}},'
+            b' {"changes": {"m1": %s}}]}',
+        )
+
         async def scenario(server):
             port = server.port
             status, created = await asyncio.to_thread(
@@ -464,11 +560,9 @@ class TestErrorPaths:
             ask = f"/artifacts/{created['id']}/ask"
             replies = []
             for literal in (b"NaN", b"Infinity", b"-Infinity"):
-                for key in (b'"scenario": {"changes": {"b1": 2.0}}',
-                            b'"scenarios": [{"changes": {"b1": 2.0}}]'):
+                for body in bodies:
                     replies.append(await asyncio.to_thread(
-                        call, port, "POST", ask,
-                        raw=b'{"default": ' + literal + b", " + key + b"}"))
+                        call, port, "POST", ask, raw=body % literal))
             return replies
 
         for status, body in asyncio.run(with_server(scenario)(tmp_path)):
@@ -544,7 +638,7 @@ class TestErrorPaths:
 
 
 class TestShutdown:
-    def test_drain_answers_parked_requests(self, tmp_path):
+    def test_drain_answers_parked_requests(self, tmp_path, hold):
         """A request parked in an open batch is answered, not dropped,
         when the server shuts down."""
 
@@ -553,18 +647,23 @@ class TestShutdown:
             status, created = await asyncio.to_thread(
                 call, port, "POST", "/artifacts", artifact_body())
             artifact_id = created["id"]
+            # The held request keeps the ask parked: only drain() can
+            # flush it.
+            held = asyncio.ensure_future(
+                asyncio.to_thread(call, port, "GET", "/hold"))
+            await until(lambda: server.service._inflight == 1)
             parked = asyncio.ensure_future(asyncio.to_thread(
                 call, port, "POST", f"/artifacts/{artifact_id}/ask",
                 {"scenario": SCENARIOS[0]}))
-            # Let the request reach the batcher and park there.
-            while server.service.batcher.pending == 0:
-                await asyncio.sleep(0.01)
-            await server.aclose()
-            return await parked
+            await until(lambda: server.service.batcher.pending == 1)
+            closing = asyncio.ensure_future(server.aclose())
+            answered = await asyncio.wait_for(parked, 10)
+            hold.set()  # drain then waits for the held request to finish
+            await closing
+            await held
+            return answered
 
-        # A window far longer than the test: only drain() can flush it.
-        status, body = asyncio.run(
-            with_server(scenario, window=30.0)(tmp_path))
+        status, body = asyncio.run(with_server(scenario)(tmp_path))
         assert status == 200
         assert tuple(body["answers"][0]["values"]) == direct_answers()[0].values
 
@@ -582,9 +681,9 @@ class TestShutdown:
 class TestBatcher:
     """Loop-level unit tests for the coalescing primitive."""
 
-    def test_window_coalesces_and_fans_out(self):
+    def test_same_turn_submissions_coalesce_and_fan_out(self):
         async def scenario():
-            batcher = MicroBatcher(window=0.05, max_batch=64)
+            batcher = MicroBatcher(max_batch=64)
             evaluate = lambda items: [item * 10 for item in items]
             results = await asyncio.gather(*(
                 batcher.submit("key", value, evaluate) for value in range(5)
@@ -598,7 +697,7 @@ class TestBatcher:
 
     def test_max_batch_flushes_early(self):
         async def scenario():
-            batcher = MicroBatcher(window=30.0, max_batch=2)
+            batcher = MicroBatcher(max_batch=2)
             evaluate = lambda items: list(items)
             return await asyncio.gather(*(
                 batcher.submit("key", value, evaluate) for value in range(4)
@@ -610,7 +709,7 @@ class TestBatcher:
 
     def test_evaluator_failure_fans_out(self):
         async def scenario():
-            batcher = MicroBatcher(window=0.01)
+            batcher = MicroBatcher()
 
             def explode(items):
                 raise RuntimeError("boom")
@@ -626,7 +725,7 @@ class TestBatcher:
 
     def test_keys_do_not_share_batches(self):
         async def scenario():
-            batcher = MicroBatcher(window=0.05)
+            batcher = MicroBatcher()
             evaluate = lambda items: list(items)
             results = await asyncio.gather(
                 batcher.submit("a", 1, evaluate),
@@ -637,6 +736,22 @@ class TestBatcher:
         results, sizes = asyncio.run(scenario())
         assert results == [1, 2]
         assert sizes == {1: 2}
+
+    def test_total_cap_flushes_every_key(self):
+        """The cap counts parked asks across keys: reaching it flushes
+        every open batch, even while admitted requests are unparked."""
+        async def scenario():
+            batcher = MicroBatcher(max_batch=3, admitted=lambda: 10)
+            evaluate = lambda items: list(items)
+            return await asyncio.gather(
+                batcher.submit("a", 1, evaluate),
+                batcher.submit("b", 2, evaluate),
+                batcher.submit("a", 3, evaluate),
+            ), batcher.batch_sizes
+
+        results, sizes = asyncio.run(asyncio.wait_for(scenario(), 10))
+        assert results == [1, 2, 3]
+        assert sizes == {2: 1, 1: 1}
 
     def test_max_batch_validated(self):
         with pytest.raises(ValueError, match="max_batch"):
