@@ -34,7 +34,7 @@ from repro.core.forest import ValidVariableSet
 from repro.core.polynomial import PolynomialSet
 from repro.core.valuation import NonUniformError, Valuation
 from repro.core import serialize
-from repro.options import resolve_options
+from repro.options import EvalOptions
 from repro.scenarios.analysis import approximate_lift
 
 if TYPE_CHECKING:
@@ -46,7 +46,6 @@ if TYPE_CHECKING:
     from repro.api.mutation import MutationResult
     from repro.api.session import PolynomialsLike
     from repro.core.forest import AbstractionForest
-    from repro.options import OptionsLike
     from repro.scenarios.scenario import Scenario
 
     #: Anything :meth:`Valuation.coerce` accepts as a scenario.
@@ -260,7 +259,7 @@ class CompressedProvenance:
         scenario: ScenarioLike,
         default: float = 1.0,
         *,
-        options: OptionsLike = None,
+        options: EvalOptions | None = None,
     ) -> Answer:
         """Answer one scenario (Scenario / Valuation / mapping).
 
@@ -275,35 +274,27 @@ class CompressedProvenance:
         self,
         scenarios: Iterable[ScenarioLike],
         default: float = 1.0,
-        workers: int | None = None,
-        engine: str | None = None,
         *,
-        options: OptionsLike = None,
+        options: EvalOptions | None = None,
     ) -> list[Answer]:
         """Answer a whole scenario family in one vectorized pass.
 
         :param scenarios: a :class:`~repro.scenarios.scenario.ScenarioSuite`,
             a :class:`~repro.scenarios.sweep.Sweep`, or any iterable of
             Scenario / Valuation / mapping entries.
-        :param options: an :class:`~repro.options.EvalOptions` (or a
-            mapping of its fields) bundling the evaluation knobs —
-            ``engine`` (dense vs. delta batch evaluation of the lifted
-            valuations; ``"auto"`` picks delta for sparse families —
-            lifting onto a cut only shrinks a scenario's change-set,
-            so sparse scenarios stay sparse on meta-variables),
-            ``workers`` (shard across processes; ``None`` stays in
-            process) and ``chunk_size``. Answers are bit-identical
-            whatever the knobs.
-        :param workers: deprecated — use ``options=``.
-        :param engine: deprecated — use ``options=``.
+        :param options: an :class:`~repro.options.EvalOptions`
+            bundling the evaluation knobs — ``engine`` (dense vs. delta
+            batch evaluation of the lifted valuations; ``"auto"`` picks
+            delta for sparse families — lifting onto a cut only
+            shrinks a scenario's change-set, so sparse scenarios stay
+            sparse on meta-variables) and ``workers`` (shard across
+            processes; ``None`` stays in process). Answers are
+            bit-identical whatever the knobs.
         :returns: a list of :class:`Answer`, one per scenario, in order.
         """
         from repro.scenarios.analysis import evaluate_scenarios
 
-        opts = resolve_options(
-            options, where="CompressedProvenance.ask_many", workers=workers,
-            engine=engine,
-        )
+        opts = EvalOptions.coerce(options)
         names = []
         exacts = []
         lifted = []
@@ -332,7 +323,6 @@ class CompressedProvenance:
         polynomials: PolynomialsLike,
         *,
         drift_limit: float | None = None,
-        options: OptionsLike = None,
     ) -> MutationResult:
         """Append original provenance to this artifact incrementally.
 
@@ -353,9 +343,6 @@ class CompressedProvenance:
         originals in a :class:`~repro.api.session.ProvenanceSession`
         and use :meth:`~repro.api.session.ProvenanceSession.extend` to
         get the exact recompression fallback.
-
-        :param options: an :class:`~repro.options.EvalOptions` (or a
-            mapping of its fields), forwarded to the mutation pipeline.
         """
         from repro.api.mutation import extend_artifact
 
@@ -363,7 +350,6 @@ class CompressedProvenance:
             self,
             polynomials,
             drift_limit=drift_limit,
-            options=options,
             where="CompressedProvenance.refresh",
         )
 

@@ -27,9 +27,8 @@ Every mutation entry point — :meth:`ProvenanceSession.extend
 :meth:`CompressedProvenance.refresh
 <repro.api.artifact.CompressedProvenance.refresh>`, ``python -m repro
 extend`` and ``POST /artifacts/{id}/extend`` — returns one
-:class:`MutationResult`. The tuple shape some early callers unpacked is
-deprecated (a :class:`DeprecationWarning`, mirroring the
-``resolve_options`` migration); use the named fields.
+:class:`MutationResult`, read by its named fields. No evaluation knob
+steers a mutation, so none of them takes ``options=``.
 """
 
 from __future__ import annotations
@@ -42,14 +41,12 @@ from repro.core.abstraction import abstract, ensure_set
 from repro.core.interning import VARIABLES
 from repro.core.polynomial import Polynomial, PolynomialSet
 from repro.errors import CompressionError
-from repro.options import EvalOptions
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator
+    from collections.abc import Callable
 
     from repro.api.artifact import CompressedProvenance
     from repro.api.session import PolynomialsLike
-    from repro.options import OptionsLike
 
 __all__ = ["DEFAULT_DRIFT_LIMIT", "MutationResult", "extend_artifact"]
 
@@ -111,26 +108,6 @@ class MutationResult:
         """A copy carrying the store's content-hash id."""
         return replace(self, artifact_id=artifact_id)
 
-    # ------------------------------------------------- deprecated shapes
-
-    def _warn_tuple_shape(self) -> None:
-        warnings.warn(
-            "MutationResult: tuple-style access is deprecated; use the "
-            "named fields (.artifact, .path, .drift, ...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __iter__(self) -> Iterator[object]:
-        """Deprecated ``artifact, path, drift`` unpacking (warns)."""
-        self._warn_tuple_shape()
-        return iter((self.artifact, self.path, self.drift))
-
-    def __getitem__(self, index: int) -> object:
-        """Deprecated positional access (warns)."""
-        self._warn_tuple_shape()
-        return (self.artifact, self.path, self.drift)[index]
-
 
 def _writable_polynomials(artifact: CompressedProvenance) -> PolynomialSet:
     """The artifact's polynomials, copied when they refuse mutation.
@@ -176,7 +153,6 @@ def extend_artifact(
     originals: PolynomialSet | None = None,
     recompress: Callable[[], CompressedProvenance] | None = None,
     drift_limit: float | None = None,
-    options: OptionsLike = None,
     where: str = "extend_artifact",
 ) -> MutationResult:
     """Append original provenance to a compressed artifact — the core.
@@ -200,7 +176,6 @@ def extend_artifact(
     every original variable is either free — and so survives
     abstraction — or a leaf of the compatibility-checked forest).
     """
-    EvalOptions.coerce(options)  # validated; no knob steers a mutation
     limit = DEFAULT_DRIFT_LIMIT if drift_limit is None else float(drift_limit)
     if limit < 0:
         raise ValueError(f"{where}: drift_limit must be >= 0, got {limit!r}")

@@ -33,7 +33,7 @@ from repro.core.parser import parse_set
 from repro.core.polynomial import Polynomial, PolynomialSet
 from repro.core.tree import AbstractionTree
 from repro.api.artifact import CompressedProvenance
-from repro.options import EvalOptions, resolve_options
+from repro.options import EvalOptions
 
 if TYPE_CHECKING:
     import os
@@ -45,7 +45,6 @@ if TYPE_CHECKING:
     from repro.api.mutation import MutationResult
     from repro.core.statistics import ProvenanceProfile
     from repro.engine.table import Relation
-    from repro.options import OptionsLike
 
     #: Anything :func:`as_forest` normalizes (``None`` = no forest).
     ForestSpec = Union[
@@ -184,7 +183,7 @@ class ProvenanceSession:
         scenario: ScenarioLike,
         default: float = 1.0,
         *,
-        options: OptionsLike = None,
+        options: EvalOptions | None = None,
     ) -> Answer:
         """Answer one scenario against the raw provenance.
 
@@ -200,24 +199,19 @@ class ProvenanceSession:
         self,
         scenarios: Iterable[ScenarioLike],
         default: float = 1.0,
-        workers: int | None = None,
-        engine: str | None = None,
         *,
-        options: OptionsLike = None,
+        options: EvalOptions | None = None,
     ) -> list[Answer]:
         """Answer a scenario family against the raw provenance.
 
         :param scenarios: a :class:`~repro.scenarios.sweep.Sweep`, a
             :class:`~repro.scenarios.scenario.ScenarioSuite`, or any
             iterable of Scenario / Valuation / mapping entries.
-        :param options: an :class:`~repro.options.EvalOptions` (or a
-            mapping of its fields) bundling the evaluation knobs —
-            ``engine`` (dense vs. delta; ``"auto"`` picks by scenario
-            sparsity), ``workers`` (shard across processes; ``None``
-            stays in process) and ``chunk_size``. Answers are
-            bit-identical whatever the knobs.
-        :param workers: deprecated — use ``options=``.
-        :param engine: deprecated — use ``options=``.
+        :param options: an :class:`~repro.options.EvalOptions`
+            bundling the evaluation knobs — ``engine`` (dense vs.
+            delta; ``"auto"`` picks by scenario sparsity) and
+            ``workers`` (shard across processes; ``None`` stays in
+            process). Answers are bit-identical whatever the knobs.
         :returns: a list of :class:`~repro.api.artifact.Answer`, one
             per scenario, in order — all ``exact=True`` (nothing was
             abstracted away).
@@ -225,10 +219,7 @@ class ProvenanceSession:
         from repro.api.artifact import Answer
         from repro.scenarios.analysis import evaluate_scenarios
 
-        opts = resolve_options(
-            options, where="ProvenanceSession.ask_many", workers=workers,
-            engine=engine,
-        )
+        opts = EvalOptions.coerce(options)
         # Materialize once: the Answer list is O(S) anyway, and a lazy
         # Sweep would otherwise be generated twice (once for evaluation,
         # once here for the names).
@@ -252,8 +243,6 @@ class ProvenanceSession:
         self,
         bound: int,
         algorithm: str = registry.AUTO,
-        *,
-        options: OptionsLike = None,
         **solver_options: object,
     ) -> CompressedProvenance:
         """Select and apply a VVS; package the result as an artifact.
@@ -263,10 +252,6 @@ class ProvenanceSession:
             ``"brute-force"``, …) or ``"auto"`` — pick the optimal DP
             for a single tree, the greedy otherwise (see
             :func:`repro.algorithms.registry.choose`).
-        :param options: an :class:`~repro.options.EvalOptions` (or a
-            mapping of its fields); validated, but none of its knobs
-            steers compression — there is one compression core
-            (:mod:`repro.core.columnar`).
         :param solver_options: forwarded to the solver (e.g.
             ``clean=False``).
         :raises ValueError: when the session has no forest.
@@ -278,7 +263,6 @@ class ProvenanceSession:
             solvers (``optimal``/``brute-force``); the greedy instead
             compresses as far as the forest allows.
         """
-        EvalOptions.coerce(options)
         if self.forest is None:
             raise ValueError(
                 "this session has no abstraction forest; build one with "
@@ -315,7 +299,6 @@ class ProvenanceSession:
         artifact: CompressedProvenance,
         *,
         drift_limit: float | None = None,
-        options: OptionsLike = None,
     ) -> MutationResult:
         """Append provenance to the session *and* an artifact it produced.
 
@@ -343,15 +326,11 @@ class ProvenanceSession:
         (``"recompressed"``) ran, and ``drift`` quantifies the bound
         overshoot that steered the choice.
 
-        :param options: an :class:`~repro.options.EvalOptions` (or a
-            mapping of its fields); forwarded to the mutation pipeline
-            and, on the fallback path, to :meth:`compress`.
         :raises CompatibilityError: when a monomial of ``polynomials``
             holds a meta-variable of the forest or two nodes of one tree.
         """
         from repro.api.mutation import extend_artifact
 
-        opts = EvalOptions.coerce(options)
         if isinstance(polynomials, (Polynomial, PolynomialSet)):
             added = ensure_set(polynomials)
         else:
@@ -367,10 +346,9 @@ class ProvenanceSession:
             added,
             originals=self.polynomials,
             recompress=lambda: self.compress(
-                artifact.bound, algorithm=artifact.algorithm, options=opts,
+                artifact.bound, algorithm=artifact.algorithm,
             ),
             drift_limit=drift_limit,
-            options=opts,
             where="ProvenanceSession.extend",
         )
 

@@ -287,7 +287,16 @@ def _cmd_sweep(args):
             f"{args.target}: expected a PolynomialSet or CompressedProvenance, "
             f"got {type(payload).__name__}"
         )
-    sweep = _build_sweep(args, polynomials.variables)
+    # Every flag value is checked before the report's first line.
+    if args.top_k < 1:
+        raise SystemExit(f"--top-k must be >= 1, got {args.top_k}")
+    if args.workers is not None and args.workers < 0:
+        raise SystemExit(f"--workers must be >= 0, got {args.workers}")
+    try:
+        sweep = _build_sweep(args, polynomials.variables)
+    except ValueError as error:
+        raise SystemExit(f"{args.mode_flag}: {error}") from None
+    options = EvalOptions(engine=args.engine, workers=args.workers or None)
     print(f"sweep:       {sweep.kind}, {len(sweep)} scenarios")
     if sweep.kind == "random":
         # Reproducibility from the report alone: echo the seed even
@@ -304,7 +313,6 @@ def _cmd_sweep(args):
         print(f"workers:     {args.workers}")
 
     started = time.perf_counter()
-    options = EvalOptions(engine=args.engine, workers=args.workers or None)
     ranked = top_k(
         polynomials, sweep, k=args.top_k, transform=transform,
         options=options,

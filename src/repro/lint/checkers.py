@@ -1,5 +1,8 @@
 """The RPL001–RPL011 AST checkers: the repo's contracts, enforced.
 
+RPL006 and RPL010 are retired: both live on inside RPL009, the one
+rule for evaluation-knob signatures.
+
 Each rule guards an invariant that was introduced by a specific PR and
 is otherwise protected only by review attention (INVARIANTS.md at the
 repository root documents every code, its origin and the legitimate
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.base import Checker, ModuleSource
+from repro.lint.base import Checker, ModuleSource, match_path
 
 __all__ = [
     "PowGroupingChecker",
@@ -21,11 +24,9 @@ __all__ = [
     "SharedMemoryLifecycleChecker",
     "GlobalRngChecker",
     "PickledCacheChecker",
-    "KeywordContractChecker",
     "ExactCoefficientChecker",
     "PublicAnnotationChecker",
     "OptionsContractChecker",
-    "MutationContractChecker",
     "ResourceLifecycleChecker",
     "AST_CHECKERS",
 ]
@@ -377,111 +378,6 @@ class PickledCacheChecker(Checker):
                     )
 
 
-class KeywordContractChecker(Checker):
-    """RPL006 — the ``engine=`` threading contract (PR 4).
-
-    Every public evaluation surface accepts the knob and forwards it to
-    the sink it reaches, so callers can pin an engine end to end and
-    the ``auto`` policy resolves exactly once. A public callable that
-    reaches a sink without accepting/forwarding the keyword silently
-    re-defaults the choice mid-stack. Compression sinks (``abstract``,
-    the solvers) take no knob — there is one compression core — so the
-    rule does not bind them.
-
-    Since PR 8 the knobs may travel bundled: an ``options`` parameter
-    (an :class:`repro.options.EvalOptions`) carries every knob at once,
-    so accepting ``options`` / forwarding ``options=`` satisfies the
-    contract exactly like the bare keyword does.
-    """
-
-    code = "RPL006"
-    name = "keyword-contract"
-    description = (
-        "public callables reaching evaluation sinks must accept and "
-        "forward the engine= keyword"
-    )
-    paths = (
-        "api/session.py",
-        "api/artifact.py",
-        "scenarios/analysis.py",
-        "scenarios/parallel.py",
-    )
-
-    #: keyword -> the sink callable names that consume it.
-    CONTRACTS = {
-        "engine": frozenset({
-            "evaluate_batch",
-            "evaluate_scenarios",
-            "evaluate_scenarios_parallel",
-            "iter_value_blocks",
-        }),
-    }
-
-    def check(self, module: ModuleSource):
-        for function in self._public_callables(module.tree):
-            params = self._parameter_names(function)
-            has_var_kw = function.args.kwarg is not None
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
-                    continue
-                called = _call_name(node)
-                for keyword, sinks in self.CONTRACTS.items():
-                    if called not in sinks:
-                        continue
-                    if (
-                        keyword not in params
-                        and "options" not in params
-                        and not has_var_kw
-                    ):
-                        yield self.finding(
-                            module, node,
-                            f"public callable {function.name!r} reaches "
-                            f"{called}() but does not accept {keyword}= "
-                            "or options= — the knob must thread through "
-                            "every public evaluation surface",
-                        )
-                    elif (
-                        _keyword(node, keyword) is None
-                        and _keyword(node, "options") is None
-                        and not any(
-                            kw.arg is None for kw in node.keywords  # **kwargs
-                        )
-                    ):
-                        yield self.finding(
-                            module, node,
-                            f"public callable {function.name!r} does not "
-                            f"forward {keyword}= (or options=) to "
-                            f"{called}() — the caller's choice would be "
-                            "silently re-defaulted",
-                        )
-
-    @staticmethod
-    def _public_callables(tree: ast.Module):
-        """Public module functions and public methods of public classes
-        (nested defs are attributed to their enclosing callable)."""
-        def is_public(name):
-            return not name.startswith("_")
-
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if is_public(node.name):
-                    yield node
-            elif isinstance(node, ast.ClassDef) and is_public(node.name):
-                for item in node.body:
-                    if isinstance(
-                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ) and is_public(item.name):
-                        yield item
-
-    @staticmethod
-    def _parameter_names(function) -> set:
-        args = function.args
-        names = {a.arg for a in args.posonlyargs}
-        names.update(a.arg for a in args.args)
-        names.update(a.arg for a in args.kwonlyargs)
-        return names
-
-
 class ExactCoefficientChecker(Checker):
     """RPL007 — exact coefficients never pass through floats (PR 6).
 
@@ -634,121 +530,95 @@ class PublicAnnotationChecker(Checker):
 
 
 class OptionsContractChecker(Checker):
-    """RPL009 — public eval entry points accept ``options=`` (PR 8).
+    """RPL009 — one spelling per evaluation knob.
 
-    :class:`repro.options.EvalOptions` is the one bundled knob object
-    of the public evaluation surface; legacy bare keywords survive only
-    behind deprecation shims. Any public callable of the facade or the
-    analysis layer that reaches an evaluation sink (directly, or via
-    ``ask_many``) must therefore accept an ``options`` parameter — a
-    new entry point shipped without it would fracture the unified
-    signature the deprecation cycle is converging on.
+    :class:`repro.options.EvalOptions` is the only way to set an
+    evaluation knob, and only entry points that read a knob take it:
+
+    * a public callable of the facade or the analysis layer that
+      reaches an evaluation sink accepts ``options=`` and passes it on
+      to the sink — as ``options=``, or as the knobs it resolved to
+      (``engine=opts.engine``, …) — so a caller can pin an engine end
+      to end and the ``auto`` policy resolves exactly once;
+    * no public callable there, or in the service's routes, accepts a
+      bare ``engine``/``workers``/``chunk_size``/``backend`` keyword.
+
+    Compression and mutation reach no sink, so they take no
+    ``options=``. ``scenarios/parallel.py`` is the mechanism layer the
+    options resolve into and keeps its keyword parameters.
     """
 
     code = "RPL009"
     name = "options-contract"
     description = (
-        "public eval entry points (facade/analysis callables reaching "
-        "an evaluation sink) must accept options="
+        "facade/analysis callables reaching an evaluation sink accept "
+        "options= and pass it on; no public callable takes a bare "
+        "engine/workers/chunk_size/backend keyword"
     )
-    paths = (
-        "api/session.py",
-        "api/artifact.py",
-        "scenarios/analysis.py",
-    )
+    paths = ("api/", "scenarios/analysis.py", "service/app.py")
 
-    #: Reaching any of these means the callable is an eval entry point:
-    #: the RPL006 engine sinks, plus the facade's own batch entry.
-    SINKS = frozenset({
-        "evaluate_batch",
-        "evaluate_scenarios",
-        "evaluate_scenarios_parallel",
-        "iter_value_blocks",
-        "ask_many",
-    })
+    #: Where a callable reaching a sink must take and pass on options=.
+    THREADED = ("api/", "scenarios/analysis.py")
+
+    #: Evaluation sink -> the resolved knobs it takes as keywords (a
+    #: call passes the options on with options= or with all of them).
+    SINKS = {
+        "evaluate_batch": ("engine",),
+        "evaluate_scenarios": (),
+        "evaluate_scenarios_parallel": ("engine", "workers"),
+        "iter_value_blocks": ("engine", "workers"),
+        "ask_many": (),
+    }
+
+    #: The bare per-knob keywords no public signature may expose.
+    KNOBS = frozenset({"engine", "workers", "chunk_size", "backend"})
 
     def check(self, module: ModuleSource):
-        for function in KeywordContractChecker._public_callables(module.tree):
-            params = KeywordContractChecker._parameter_names(function)
-            if "options" in params or function.args.kwarg is not None:
-                continue
-            for node in ast.walk(function):
-                if (
-                    isinstance(node, ast.Call)
-                    and _call_name(node) in self.SINKS
-                ):
-                    yield self.finding(
-                        module, function,
-                        f"public eval entry point {function.name!r} "
-                        f"reaches {_call_name(node)}() but does not "
-                        "accept options= — new evaluation surfaces must "
-                        "take the bundled EvalOptions knob",
-                    )
-                    break
-
-
-class MutationContractChecker(Checker):
-    """RPL010 — mutation surfaces take ``options=``, never bare knobs (PR 9).
-
-    Artifact mutation (``session.extend`` / ``artifact.refresh`` /
-    ``extend_artifact`` and the service route over them) is a new
-    public surface born *after* the ``EvalOptions`` unification — so
-    unlike the evaluation facade there is no legacy to deprecate:
-    every public callable reaching a mutation sink must accept the
-    bundled ``options=`` knob, and must not accept any of the bare
-    per-knob keywords (``engine``/``backend``/``workers``/
-    ``chunk_size``) the PR-8 deprecation cycle is retiring. Mirrors
-    RPL009, one generation stricter.
-    """
-
-    code = "RPL010"
-    name = "mutation-contract"
-    description = (
-        "public mutation entry points (callables reaching extend/refresh/"
-        "extend_artifact) must accept options= and no bare eval knobs"
-    )
-    paths = (
-        "api/session.py",
-        "api/artifact.py",
-        "api/mutation.py",
-        "service/app.py",
-    )
-
-    #: Reaching any of these means the callable mutates an artifact.
-    SINKS = frozenset({"extend", "refresh", "extend_artifact"})
-
-    #: The bare per-knob keywords EvalOptions bundles — banned outright
-    #: on mutation signatures (no deprecation grace here).
-    KNOBS = frozenset({"engine", "backend", "workers", "chunk_size"})
-
-    def check(self, module: ModuleSource):
-        for function in KeywordContractChecker._public_callables(module.tree):
-            sink = next(
-                (
-                    _call_name(node)
-                    for node in ast.walk(function)
-                    if isinstance(node, ast.Call)
-                    and _call_name(node) in self.SINKS
-                ),
-                None,
-            )
-            if sink is None:
-                continue
-            params = KeywordContractChecker._parameter_names(function)
+        threaded = any(match_path(module.path, p) for p in self.THREADED)
+        for function, _ in PublicAnnotationChecker._public_surface(
+            module.tree
+        ):
+            args = function.args
+            params = {
+                a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+            }
             for knob in sorted(params & self.KNOBS):
                 yield self.finding(
                     module, function,
-                    f"mutation entry point {function.name!r} accepts the "
-                    f"bare {knob}= keyword — mutation surfaces bundle "
-                    "every evaluation knob in options=EvalOptions(...)",
+                    f"public callable {function.name!r} accepts the bare "
+                    f"{knob}= keyword — evaluation knobs travel only in "
+                    "options=EvalOptions(...)",
                 )
-            if "options" not in params and function.args.kwarg is None:
+            if threaded:
+                yield from self._threading(module, function, params)
+
+    def _threading(self, module, function, params):
+        accepts = "options" in params or function.args.kwarg is not None
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            sink = _call_name(node)
+            if sink not in self.SINKS:
+                continue
+            if not accepts:
                 yield self.finding(
                     module, function,
-                    f"public mutation entry point {function.name!r} "
-                    f"reaches {sink}() but does not accept options= — "
-                    "mutation surfaces must take the bundled EvalOptions "
-                    "knob",
+                    f"public callable {function.name!r} reaches {sink}() "
+                    "but does not accept options= — evaluation entry "
+                    "points take the bundled EvalOptions knob",
+                )
+                return
+            passed = {kw.arg for kw in node.keywords}
+            if not (
+                "options" in passed
+                or None in passed  # **kwargs
+                or (self.SINKS[sink] and passed.issuperset(self.SINKS[sink]))
+            ):
+                yield self.finding(
+                    module, node,
+                    f"public callable {function.name!r} does not pass its "
+                    f"options on to {sink}() — the caller's choice would "
+                    "be silently re-defaulted",
                 )
 
 
@@ -841,10 +711,8 @@ AST_CHECKERS = (
     SharedMemoryLifecycleChecker,
     GlobalRngChecker,
     PickledCacheChecker,
-    KeywordContractChecker,
     ExactCoefficientChecker,
     PublicAnnotationChecker,
     OptionsContractChecker,
-    MutationContractChecker,
     ResourceLifecycleChecker,
 )

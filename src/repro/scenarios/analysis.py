@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 
 from repro.core.valuation import Valuation
-from repro.options import resolve_options
+from repro.options import EvalOptions
 from repro.util.timing import time_call
 
 __all__ = [
@@ -34,26 +34,20 @@ __all__ = [
 ]
 
 
-def evaluate_scenarios(polynomials, scenarios, default=1.0, *, options=None,
-                       workers=None, chunk_size=None, engine=None):
+def evaluate_scenarios(polynomials, scenarios, default=1.0, *, options=None):
     """Valuate a whole scenario family in one vectorized pass.
 
     :param scenarios: a :class:`~repro.scenarios.sweep.Sweep`, a
         :class:`~repro.scenarios.scenario.ScenarioSuite`, or any
         iterable of :class:`Scenario`,
         :class:`~repro.core.valuation.Valuation` or plain dicts.
-    :param options: an :class:`~repro.options.EvalOptions` (or a
-        mapping of its fields) bundling the evaluation knobs —
-        ``engine`` (dense vs. delta batch evaluation; ``"auto"`` picks
-        delta for sparse families, see
-        :func:`repro.core.batch.choose_engine`), ``workers`` (shard
+    :param options: an :class:`~repro.options.EvalOptions` bundling
+        the evaluation knobs — ``engine`` (dense vs. delta batch
+        evaluation; ``"auto"`` picks delta for sparse families, see
+        :func:`repro.core.batch.choose_engine`) and ``workers`` (shard
         across processes via :func:`repro.scenarios.parallel.\
-evaluate_scenarios_parallel`; ``None`` stays in process) and
-        ``chunk_size`` (scenarios per shard/block). Answers are
+evaluate_scenarios_parallel`; ``None`` stays in process). Answers are
         bit-identical whatever the knobs.
-    :param workers: deprecated — use ``options=EvalOptions(workers=…)``.
-    :param chunk_size: deprecated — use ``options=``.
-    :param engine: deprecated — use ``options=EvalOptions(engine=…)``.
     :returns: a ``(num_scenarios, num_polynomials)`` NumPy array — row
         ``i`` is ``scenarios[i].evaluate(polynomials)``.
 
@@ -65,13 +59,10 @@ evaluate_scenarios_parallel`; ``None`` stays in process) and
     """
     from repro.scenarios.parallel import evaluate_scenarios_parallel
 
-    opts = resolve_options(
-        options, where="evaluate_scenarios", workers=workers,
-        chunk_size=chunk_size, engine=engine,
-    )
+    opts = EvalOptions.coerce(options)
     return evaluate_scenarios_parallel(
         polynomials, scenarios, workers=opts.workers, default=default,
-        chunk_size=opts.chunk_size, engine=opts.engine,
+        engine=opts.engine,
     )
 
 
@@ -94,14 +85,13 @@ class TopKEntry:
 
 
 def top_k(polynomials, scenarios, k=10, *, objective=None, largest=True,
-          default=1.0, options=None, workers=None, chunk_size=None,
-          transform=None, engine=None):
+          default=1.0, options=None, transform=None):
     """The ``k`` scenarios with the most extreme objective values.
 
     Answers the analyst question sweeps exist for — "*which* what-if
     moves the result most?" — without holding the full answer matrix:
-    evaluation streams in chunks (optionally sharded across
-    ``workers`` processes) and only a ``k``-entry heap persists, so
+    evaluation streams in chunks (optionally sharded across worker
+    processes) and only a ``k``-entry heap persists, so
     million-scenario sweeps rank in O(k) memory.
 
     :param objective: ``row -> float`` over a scenario's per-polynomial
@@ -110,22 +100,16 @@ def top_k(polynomials, scenarios, k=10, *, objective=None, largest=True,
     :param transform: optional per-scenario callable applied before
         evaluation (e.g. lifting onto an artifact's cut); names and
         indexes still refer to the original scenarios.
-    :param options: an :class:`~repro.options.EvalOptions` (or mapping)
-        bundling ``engine``/``workers``/``chunk_size``; rankings are
-        identical whatever the knobs.
-    :param workers: deprecated — use ``options=``.
-    :param chunk_size: deprecated — use ``options=``.
-    :param engine: deprecated — use ``options=``.
+    :param options: an :class:`~repro.options.EvalOptions` bundling
+        ``engine``/``workers``; rankings are identical whatever the
+        knobs.
     :returns: a list of :class:`TopKEntry`, best first; ties break
         toward the earlier scenario index, so rankings are
         deterministic.
     """
     from repro.scenarios.parallel import iter_value_blocks
 
-    opts = resolve_options(
-        options, where="top_k", workers=workers, chunk_size=chunk_size,
-        engine=engine,
-    )
+    opts = EvalOptions.coerce(options)
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -136,8 +120,7 @@ def top_k(polynomials, scenarios, k=10, *, objective=None, largest=True,
     # (by index) after the stream is drained.
     for start, chunk, values in iter_value_blocks(
         polynomials, scenarios, default=default, workers=opts.workers,
-        chunk_size=opts.chunk_size, transform=transform, materialize=False,
-        engine=opts.engine,
+        transform=transform, materialize=False, engine=opts.engine,
     ):
         for offset in range(values.shape[0]):
             row = values[offset]
@@ -191,7 +174,7 @@ class VariableSensitivity:
 
 
 def sensitivity(polynomials, scenarios, *, default=1.0, options=None,
-                workers=None, chunk_size=None, transform=None, engine=None):
+                transform=None):
     """Rank variables by the output delta their scenarios induce.
 
     For each scenario the L1 distance between its per-polynomial values
@@ -205,9 +188,8 @@ def sensitivity(polynomials, scenarios, *, default=1.0, options=None,
 
     Evaluation streams in chunks (optionally across worker processes);
     memory stays O(variables), not O(scenarios). ``options`` bundles
-    the ``engine``/``workers``/``chunk_size`` knobs (the legacy
-    keywords still work but warn ``DeprecationWarning``); the report is
-    identical whatever the knobs — the engines are bit-identical.
+    the ``engine``/``workers`` knobs; the report is identical whatever
+    the knobs — the engines are bit-identical.
 
     :returns: a list of :class:`VariableSensitivity`, largest
         ``mean_delta`` first (ties break by variable name).
@@ -216,10 +198,7 @@ def sensitivity(polynomials, scenarios, *, default=1.0, options=None,
 
     from repro.scenarios.parallel import iter_value_blocks
 
-    opts = resolve_options(
-        options, where="sensitivity", workers=workers,
-        chunk_size=chunk_size, engine=engine,
-    )
+    opts = EvalOptions.coerce(options)
     compiled = (
         polynomials.compiled() if hasattr(polynomials, "compiled")
         else polynomials
@@ -237,7 +216,7 @@ def sensitivity(polynomials, scenarios, *, default=1.0, options=None,
     counts = {}
     for _, chunk, values in iter_value_blocks(
         compiled, scenarios, default=default, workers=opts.workers,
-        chunk_size=opts.chunk_size, transform=transform, engine=opts.engine,
+        transform=transform, engine=opts.engine,
     ):
         deltas = numpy.abs(values - baseline).sum(axis=1)
         for offset, entry in enumerate(chunk):
@@ -286,24 +265,19 @@ class SpeedupReport:
 
 
 def assignment_speedup(polynomials, abstracted, scenarios, vvs=None, repeat=3,
-                       batch=True, engine=None, *, options=None):
+                       *, options=None):
     """Time a scenario suite on raw vs abstracted provenance.
 
     Scenarios are lifted onto meta-variables when a ``vvs`` is given
     (exactly, when uniform; via :func:`approximate_lift` otherwise) so
-    both sides do equivalent work.
-
-    ``batch=True`` (the default) valuates each side through the
+    both sides do equivalent work. Each side valuates through the
     compiled :meth:`~repro.core.polynomial.PolynomialSet.evaluate_batch`
-    — the whole suite per matrix product; ``batch=False`` keeps the
-    per-scenario interpreter loop (the pre-vectorization behaviour,
-    useful for measuring what batching itself buys). ``options`` (an
+    — the whole suite per matrix product. ``options`` (an
     :class:`~repro.options.EvalOptions`) pins the batch evaluator
     (``dense``/``delta``/``auto``) so timed runs can fix the engine
-    like every other evaluation surface; the positional ``engine``
-    keyword is deprecated.
+    like every other evaluation surface.
     """
-    opts = resolve_options(options, where="assignment_speedup", engine=engine)
+    opts = EvalOptions.coerce(options)
     raw_valuations = [s.valuation() for s in scenarios]
     if vvs is None:
         abstracted_valuations = raw_valuations
@@ -313,15 +287,8 @@ def assignment_speedup(polynomials, abstracted, scenarios, vvs=None, repeat=3,
             for s in scenarios
         ]
 
-    if batch:
-        def run(polys, valuations):
-            return polys.evaluate_batch(valuations, engine=opts.engine)
-    else:
-        def run(polys, valuations):
-            out = []
-            for valuation in valuations:
-                out.append(valuation.evaluate(polys))
-            return out
+    def run(polys, valuations):
+        return polys.evaluate_batch(valuations, engine=opts.engine)
 
     raw_seconds, _ = time_call(run, polynomials, raw_valuations, repeat=repeat)
     abstracted_seconds, _ = time_call(

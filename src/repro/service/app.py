@@ -6,8 +6,8 @@ Endpoints (all JSON):
   polynomial strings (``"polynomials"``) or as a SQL query over inline
   tables (``"sql"`` + ``"tables"``, executed by :mod:`repro.engine`),
   plus the abstraction ``"forest"`` (nested ``[label, [children...]]``
-  specs), the ``"bound"``, and optionally ``"algorithm"`` and
-  ``"options"``. Returns ``201`` with the content-hash ``id``.
+  specs), the ``"bound"``, and optionally ``"algorithm"``. Returns
+  ``201`` with the content-hash ``id``.
 * ``POST /artifacts/{id}/ask`` — answer scenarios. A single
   ``"scenario"`` rides the micro-batcher, which holds it only while
   another admitted request is still on its way there (coalescing
@@ -16,8 +16,8 @@ Endpoints (all JSON):
   dispatches directly.
 * ``POST /artifacts/{id}/extend`` — append provenance incrementally.
   The body carries the new original polynomials as strings
-  (``"polynomials"``), plus optional ``"drift_limit"`` and
-  ``"options"``. The artifact is maintained under its existing cut
+  (``"polynomials"``), plus an optional ``"drift_limit"``. The
+  artifact is maintained under its existing cut
   (columnar/compiled structures repaired) and re-spooled; returns
   ``201`` with the **new** content-hash ``id`` and the unified
   :class:`~repro.api.mutation.MutationResult` stats (``path``,
@@ -28,6 +28,11 @@ Endpoints (all JSON):
 * ``GET /healthz`` — liveness, store counters, coalescing histogram,
   and the resilience state (deadline/queue config, shed and timed-out
   counts, per-artifact circuit-breaker states).
+
+No request sets an evaluation knob: every ask is answered in process
+with the default engine, and a POST body carrying ``"options"`` is
+refused with 400 (one check, :func:`_require_object`, serves every
+route).
 
 Errors map by exception family (:mod:`repro.errors`): unknown artifact
 → 404, undecodable payloads → 400, infeasible bounds → 422, evaluation
@@ -49,7 +54,6 @@ from repro.errors import (
     SerializeError,
 )
 from repro.faults import inject
-from repro.options import EvalOptions
 from repro.service.batcher import MicroBatcher
 from repro.service.http import HttpError, Request, serve_connection
 from repro.service.resilience import CircuitBreaker
@@ -111,7 +115,6 @@ class WhatIfService:
         store: ArtifactStore,
         *,
         max_batch: int = 64,
-        options: EvalOptions | None = None,
         deadline: float | None = None,
         max_pending: int | None = None,
         breaker_threshold: int = 5,
@@ -121,7 +124,6 @@ class WhatIfService:
         self.batcher = MicroBatcher(
             max_batch=max_batch, admitted=lambda: self._inflight
         )
-        self.options = EvalOptions.coerce(options)
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be > 0, got {deadline}")
         if max_pending is not None and max_pending < 1:
@@ -249,8 +251,7 @@ class WhatIfService:
         if not isinstance(bound, int) or isinstance(bound, bool):
             raise HttpError(400, "'bound' must be an integer")
         algorithm = body.get("algorithm", "auto")
-        options = EvalOptions.coerce(body.get("options"))
-        artifact = session.compress(bound, algorithm=algorithm, options=options)
+        artifact = session.compress(bound, algorithm=algorithm)
         artifact_id = self.store.put(artifact)
         stored = self.store.get(artifact_id)
         return 201, {"id": artifact_id, "stats": stored.artifact.stats()}
@@ -276,7 +277,6 @@ class WhatIfService:
             or isinstance(drift_limit, bool)
         ):
             raise HttpError(400, "'drift_limit' must be a number")
-        options = EvalOptions.coerce(body.get("options"))
         warm = self._fetch(artifact_id)
         added = parse_set(texts)
         with warnings.catch_warnings():
@@ -286,9 +286,7 @@ class WhatIfService:
             warnings.filterwarnings(
                 "ignore", message="extending a binary-loaded artifact"
             )
-            result = warm.artifact.refresh(
-                added, drift_limit=drift_limit, options=options
-            )
+            result = warm.artifact.refresh(added, drift_limit=drift_limit)
         new_id = self.store.put(result.artifact)
         self.breaker.record_success(artifact_id)
         return 201, result.with_id(new_id).stats()
@@ -310,16 +308,15 @@ class WhatIfService:
             or not -math.inf < default < math.inf  # NaN, ±Infinity
         ):
             raise HttpError(400, "'default' must be a finite number")
-        options = EvalOptions.coerce(body.get("options"))
         if "scenario" in body and "scenarios" in body:
             raise HttpError(400, "pass 'scenario' or 'scenarios', not both")
         if "scenario" in body:
             scenario = _scenario_from(body["scenario"], index=0)
             answer = await self.batcher.submit(
-                (artifact_id, default, options),
+                (artifact_id, default),
                 scenario,
                 lambda items: self._evaluate(
-                    warm, items, default, options, artifact_id=artifact_id
+                    warm, items, default, artifact_id=artifact_id
                 ),
             )
             return 200, {"answers": [_answer_json(answer)]}
@@ -332,7 +329,7 @@ class WhatIfService:
                 for index, entry in enumerate(entries)
             ]
             answers = self._evaluate(
-                warm, scenarios, default, options, artifact_id=artifact_id
+                warm, scenarios, default, artifact_id=artifact_id
             )
             return 200, {"answers": [_answer_json(a) for a in answers]}
         raise HttpError(400, "missing 'scenario' (one) or 'scenarios' (many)")
@@ -358,7 +355,6 @@ class WhatIfService:
         warm: WarmArtifact,
         scenarios: list,
         default: float,
-        options: EvalOptions,
         *,
         artifact_id: str | None = None,
     ) -> list[Answer]:
@@ -366,8 +362,7 @@ class WhatIfService:
         :class:`~repro.errors.EvaluationError` (one 500, not a dropped
         connection per waiter). Outcomes feed the artifact's breaker."""
         try:
-            answers = warm.artifact.ask_many(
-                scenarios, default=default, options=options)
+            answers = warm.artifact.ask_many(scenarios, default=default)
         except ReproError:
             if artifact_id is not None:
                 self.breaker.record_failure(artifact_id)
@@ -435,7 +430,6 @@ async def start_service(
     port: int = 0,
     capacity: int = 8,
     max_batch: int = 64,
-    options: EvalOptions | None = None,
     deadline: float | None = None,
     max_pending: int | None = None,
     breaker_threshold: int = 5,
@@ -444,7 +438,7 @@ async def start_service(
     """Bind the what-if service; returns the running server handle."""
     store = ArtifactStore(spool, capacity=capacity)
     service = WhatIfService(
-        store, max_batch=max_batch, options=options,
+        store, max_batch=max_batch,
         deadline=deadline, max_pending=max_pending,
         breaker_threshold=breaker_threshold,
         breaker_cooldown=breaker_cooldown,
@@ -464,8 +458,15 @@ async def start_service(
 
 
 def _require_object(document: object, what: str) -> dict:
+    """The body of a POST route: a JSON object with no ``"options"``."""
     if not isinstance(document, dict):
         raise HttpError(400, f"{what} body must be a JSON object")
+    if "options" in document:
+        raise HttpError(
+            400,
+            f"{what} body must not carry 'options': evaluation knobs "
+            "cannot be set over HTTP",
+        )
     return document
 
 

@@ -6,13 +6,14 @@ batch evaluator on the polynomials and the lift index on the cut
 (:meth:`~repro.core.forest.ValidVariableSet.lift_index`) — are built
 when the store admits the artifact, not on its first request.
 
-Answering and lifting are the facade's own:
+Answering and lifting are the facade's own: the service calls
 :meth:`CompressedProvenance.ask_many
-<repro.api.artifact.CompressedProvenance.ask_many>` lifts each scenario
-through the cut's index in O(changed variables), the same path every
-in-process caller takes, so served answers are the direct answers.
-:meth:`WarmArtifact.lift_one` and :meth:`WarmArtifact.ask_many` only
-delegate to it; they stay because the end-to-end benchmark's tracer
+<repro.api.artifact.CompressedProvenance.ask_many>` on
+:attr:`WarmArtifact.artifact`, which lifts each scenario through the
+cut's index in O(changed variables), the same path every in-process
+caller takes, so served answers are the direct answers.
+:meth:`WarmArtifact.lift_one` only delegates to the facade; it stays,
+with this class, because the end-to-end benchmark's tracer
 (``perfbench/tracing.py``) wraps ``WarmArtifact.__init__`` and
 ``lift_one`` by name.
 """
@@ -22,11 +23,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
-
-    from repro.api.artifact import Answer, CompressedProvenance, ScenarioLike
+    from repro.api.artifact import CompressedProvenance
     from repro.core.valuation import Valuation
-    from repro.options import OptionsLike
 
 __all__ = ["WarmArtifact"]
 
@@ -47,23 +45,3 @@ class WarmArtifact:
         :meth:`~repro.api.artifact.CompressedProvenance.lift` and
         :meth:`~repro.api.artifact.CompressedProvenance.supports`."""
         return self.artifact.lift(valuation), self.artifact.supports(valuation)
-
-    def ask_many(
-        self,
-        scenarios: Iterable[ScenarioLike],
-        default: float = 1.0,
-        *,
-        options: OptionsLike = None,
-    ) -> list[Answer]:
-        """The artifact's :meth:`~repro.api.artifact.CompressedProvenance.ask_many`."""
-        return self.artifact.ask_many(scenarios, default=default, options=options)
-
-    def ask(
-        self,
-        scenario: ScenarioLike,
-        default: float = 1.0,
-        *,
-        options: OptionsLike = None,
-    ) -> Answer:
-        """The artifact's :meth:`~repro.api.artifact.CompressedProvenance.ask`."""
-        return self.artifact.ask(scenario, default=default, options=options)

@@ -25,11 +25,18 @@ The definitions (§2.2–§3.2):
   least variable loss, found here by enumerating every cut; ties go
   the way the DP's tables break them (:func:`dp_rank`).
 
+The ask side: a scenario assigns values to variables, every other
+variable taking a default. :func:`evaluate` valuates a set term by term
+in exact :class:`~fractions.Fraction` arithmetic, and :func:`mean_lift`
+moves a scenario onto a cut — each chosen label takes the mean of its
+leaves' values, which is exact when those values are equal.
+
 It is deliberately slow: every quantity is recomputed from scratch.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 # ---------------------------------------------------------------- trees
@@ -179,6 +186,43 @@ def node_losses(polynomials, tree):
         })
         for label, node in nodes(tree)
     }
+
+
+# ----------------------------------------------------------- evaluation
+
+
+def evaluate(polynomials, assignment, default):
+    """``[(value, magnitude), ...]``, one pair per polynomial: its value
+    with every variable outside ``assignment`` at ``default``, and the
+    sum of its terms' absolute values. Exact: floats count at their
+    binary value."""
+    values = {variable: Fraction(value) for variable, value in assignment.items()}
+    fallback = Fraction(default)
+    out = []
+    for polynomial in polynomials:
+        total = magnitude = Fraction(0)
+        for monomial, coefficient in polynomial.items():
+            term = Fraction(coefficient)
+            for variable, exponent in monomial:
+                term *= values.get(variable, fallback) ** exponent
+            total += term
+            magnitude += abs(term)
+        out.append((total, magnitude))
+    return out
+
+
+def mean_lift(forest, cut, assignment, default):
+    """``assignment`` moved onto ``cut``: each chosen label takes the
+    mean of its leaves' values (a kept leaf, its own); every other
+    variable keeps its value. Exact."""
+    lifted = {variable: Fraction(value) for variable, value in assignment.items()}
+    fallback = Fraction(default)
+    for tree in forest:
+        for label, node in nodes(tree):
+            if label in cut:
+                group = [lifted.get(leaf, fallback) for leaf in leaves(node)]
+                lifted[label] = sum(group) / len(group)
+    return lifted
 
 
 # ----------------------------------------------------------- algorithms

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from repro.core import serialize
 from repro.core.forest import AbstractionForest
 from repro.core.tree import AbstractionTree
 from repro.workloads.telephony import example13_polynomials, plans_tree
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -476,6 +482,29 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["sweep", provenance, "--grid", "nogroup",
                   "--multipliers", "0.5"])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--random", "5", "--workers", "-1"],
+         "--workers must be >= 0, got -1"),
+        (["--random", "5", "--top-k", "0"], "--top-k must be >= 1, got 0"),
+        (["--random", "-5"], "--random: count must be >= 0, got -5"),
+        (["--random", "5", "--variables", "b1,b2", "--changes", "0"],
+         "--random: changes must be in [1, 2], got 0"),
+    ], ids=["workers", "top-k", "random", "changes"])
+    def test_bad_flag_value_exits_in_one_line(self, files, flags, message):
+        """A bad flag value ends the run with a one-line message before
+        the report's first line: no traceback, nothing on stdout."""
+        _, provenance, _ = files
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", provenance, *flags],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert proc.stderr.strip() == message
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestServe:

@@ -23,11 +23,16 @@ from repro.core.batch import ENGINES, choose_engine
 from repro.core.parser import parse_set
 from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
 from repro.core.valuation import Valuation
+from repro.options import EvalOptions
 from repro.scenarios.analysis import evaluate_scenarios, sensitivity, top_k
 from repro.scenarios.parallel import evaluate_scenarios_parallel
 from repro.scenarios.sweep import Sweep
 from repro.util.rng import derive_rng
 from repro.workloads.random_polys import random_polynomials
+
+
+DENSE = EvalOptions(engine="dense")
+DELTA = EvalOptions(engine="delta")
 
 
 def assert_engines_bit_identical(polynomials, scenarios, default=1.0):
@@ -149,8 +154,8 @@ class TestEdgeCases:
     def test_empty_sweep(self):
         polys = parse_set(["x + y"])
         sweep = Sweep.random(["x", "y"], 0, seed=1)
-        dense = evaluate_scenarios(polys, sweep, engine="dense")
-        delta = evaluate_scenarios(polys, sweep, engine="delta")
+        dense = evaluate_scenarios(polys, sweep, options=DENSE)
+        delta = evaluate_scenarios(polys, sweep, options=DELTA)
         assert dense.shape == delta.shape == (0, 1)
 
     def test_empty_scenario_list(self):
@@ -265,7 +270,7 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown engine"):
             workload.evaluate_batch([{}], engine="warp")
         with pytest.raises(ValueError, match="unknown engine"):
-            evaluate_scenarios(workload, [{}], engine="warp")
+            evaluate_scenarios(workload, [{}], options=EvalOptions("warp"))
         assert "dense" in ENGINES and "delta" in ENGINES
 
 
@@ -276,9 +281,9 @@ class TestStackThreading:
         sweep = Sweep.one_at_a_time(
             sorted(workload.variables), [0.0, 0.8, 1.2]
         )
-        dense = evaluate_scenarios(workload, sweep, engine="dense")
-        delta = evaluate_scenarios(workload, sweep, engine="delta")
-        auto = evaluate_scenarios(workload, sweep, engine="auto")
+        dense = evaluate_scenarios(workload, sweep, options=DENSE)
+        delta = evaluate_scenarios(workload, sweep, options=DELTA)
+        auto = evaluate_scenarios(workload, sweep, options=EvalOptions())
         assert numpy.array_equal(dense, delta)
         assert numpy.array_equal(dense, auto)
 
@@ -298,12 +303,12 @@ class TestStackThreading:
     def test_top_k_and_sensitivity_engines_agree(self, workload):
         sweep = Sweep.one_at_a_time(sorted(workload.variables), [0.5])
         by_engine = [
-            top_k(workload, sweep, k=5, engine=engine)
+            top_k(workload, sweep, k=5, options=EvalOptions(engine))
             for engine in ("dense", "delta")
         ]
         assert by_engine[0] == by_engine[1]
         reports = [
-            sensitivity(workload, sweep, engine=engine)
+            sensitivity(workload, sweep, options=EvalOptions(engine))
             for engine in ("dense", "delta")
         ]
         assert reports[0] == reports[1]
@@ -320,12 +325,12 @@ class TestStackThreading:
             Valuation({"b1": 0.5, "b2": 0.5}),
             {"b1": 0.0, "m3": 1.2},
         ]
-        assert session.ask_many(scenarios, engine="dense") == session.ask_many(
-            scenarios, engine="delta"
+        assert session.ask_many(scenarios, options=DENSE) == session.ask_many(
+            scenarios, options=DELTA
         )
         artifact = session.compress(bound=4)
-        assert artifact.ask_many(scenarios, engine="dense") == artifact.ask_many(
-            scenarios, engine="delta"
+        assert artifact.ask_many(scenarios, options=DENSE) == artifact.ask_many(
+            scenarios, options=DELTA
         )
 
 

@@ -1,5 +1,6 @@
-"""Tests for `repro.options` (EvalOptions + the deprecation shim),
-the `repro.errors` hierarchy, and the JSON/mmap load-mode reporting."""
+"""Tests for `repro.options` (EvalOptions, the one spelling of every
+evaluation knob), the `repro.errors` hierarchy, and the JSON/mmap
+load-mode reporting."""
 
 import warnings
 
@@ -8,8 +9,14 @@ import pytest
 import repro
 import repro.errors
 from repro.api.session import ProvenanceSession
-from repro.options import EvalOptions, resolve_options
-from repro.scenarios.analysis import evaluate_scenarios, sensitivity, top_k
+from repro.options import EvalOptions
+from repro.scenarios.analysis import (
+    assignment_speedup,
+    evaluate_scenarios,
+    sensitivity,
+    top_k,
+)
+from repro.scenarios.scenario import Scenario
 
 POLYNOMIALS = [
     "2*b1*m1 + 3*b2*m1 + b3*m2",
@@ -30,10 +37,12 @@ def make_artifact(bound=2):
 
 class TestEvalOptions:
     def test_defaults(self):
+        from dataclasses import fields
+
         options = EvalOptions()
         assert options.engine == "auto"
         assert options.workers is None
-        assert options.chunk_size is None
+        assert [f.name for f in fields(EvalOptions)] == ["engine", "workers"]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -42,8 +51,8 @@ class TestEvalOptions:
             EvalOptions(backend="columnar")  # compression has no knob
         with pytest.raises(ValueError, match="workers"):
             EvalOptions(workers=-1)
-        with pytest.raises(ValueError, match="chunk_size"):
-            EvalOptions(chunk_size=0)
+        with pytest.raises(TypeError, match="chunk_size"):
+            EvalOptions(chunk_size=8)  # shard size is not a user knob
 
     def test_frozen_and_hashable(self):
         options = EvalOptions(engine="delta")
@@ -57,56 +66,72 @@ class TestEvalOptions:
         assert EvalOptions.coerce(None) is EvalOptions.coerce(None)  # shared
         options = EvalOptions(workers=2)
         assert EvalOptions.coerce(options) is options
-        assert EvalOptions.coerce({"engine": "dense"}).engine == "dense"
-        with pytest.raises(TypeError, match="options must be"):
-            EvalOptions.coerce("delta")
-
-    def test_with_revalidates(self):
-        options = EvalOptions().with_(engine="delta")
-        assert options.engine == "delta"
-        with pytest.raises(ValueError, match="unknown engine"):
-            options.with_(engine="warp")
+        for other in ("delta", {"engine": "dense"}):
+            with pytest.raises(TypeError, match="options must be"):
+                EvalOptions.coerce(other)
 
     def test_exported_at_top_level(self):
         assert repro.EvalOptions is EvalOptions
 
 
+def entry_points():
+    """Every entry point that reads a knob, as ``call(**keywords)``
+    over a small artifact."""
+    artifact = make_artifact()
+    session = ProvenanceSession.from_strings(POLYNOMIALS, forest=FOREST)
+    polynomials = artifact.polynomials
+    lifted = [{"SB": 0.5}, {"SM": 0.0}]
+    suite = [Scenario("s", {"b1": 0.5})]
+    return [
+        lambda **kw: artifact.ask(SUITE[0], **kw),
+        lambda **kw: artifact.ask_many(SUITE, **kw),
+        lambda **kw: session.ask(SUITE[0], **kw),
+        lambda **kw: session.ask_many(SUITE, **kw),
+        lambda **kw: evaluate_scenarios(polynomials, lifted, **kw),
+        lambda **kw: top_k(polynomials, lifted, k=1, **kw),
+        lambda **kw: sensitivity(polynomials, lifted, **kw),
+        lambda **kw: assignment_speedup(
+            session.polynomials, polynomials, suite, vvs=artifact.vvs,
+            repeat=1, **kw),
+    ]
+
+
 class TestResolveOptions:
+    """How entry points take their knobs: ``options=EvalOptions(...)``
+    is the one spelling; the keywords that predate it, and the mapping
+    form, raise a plain :class:`TypeError`."""
+
     def test_plain_options_pass_through(self):
-        options = EvalOptions(engine="dense")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_options(options, where="here") is options
-
-    def test_legacy_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="here: the engine"):
-            options = resolve_options(where="here", engine="dense")
-        assert options == EvalOptions(engine="dense")
+            for call in entry_points():
+                call(options=EvalOptions(engine="dense"))
+                call(options=None)
 
     def test_mixing_is_a_type_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_options(
-                EvalOptions(), where="here", engine="dense")
+        for call in entry_points():
+            with pytest.raises(TypeError):
+                call(options=EvalOptions(), engine="dense")
+            with pytest.raises(TypeError):
+                call(options={"engine": "dense"})  # no mapping form
 
     def test_unknown_legacy_keys_rejected(self):
-        with pytest.raises(TypeError, match="unknown legacy"):
-            resolve_options(where="here", turbo=True)
+        for call in entry_points():
+            for keyword in ("engine", "workers", "chunk_size", "batch"):
+                with pytest.raises(TypeError, match=keyword):
+                    call(**{keyword: None})
 
 
 class TestEntryPoints:
-    """options= is accepted everywhere; legacy kwargs warn but agree."""
+    """options= is accepted everywhere a knob is read."""
 
-    def test_ask_many_options_vs_legacy_bit_identical(self):
+    def test_ask_many_engines_bit_identical(self):
         artifact = make_artifact()
         baseline = artifact.ask_many(SUITE)
         for engine in ("dense", "delta"):
             with_options = artifact.ask_many(
                 SUITE, options=EvalOptions(engine=engine))
-            with pytest.warns(DeprecationWarning, match="ask_many"):
-                with_legacy = artifact.ask_many(SUITE, engine=engine)
-            assert [a.values for a in with_options] == [
-                a.values for a in baseline]
-            assert with_options == with_legacy
+            assert with_options == baseline
 
     def test_session_ask_accepts_options(self):
         session = ProvenanceSession.from_strings(POLYNOMIALS, forest=FOREST)
@@ -122,10 +147,9 @@ class TestEntryPoints:
         baseline = evaluate_scenarios(polynomials, suite)
         routed = evaluate_scenarios(
             polynomials, suite, options=EvalOptions(engine="dense"))
-        with pytest.warns(DeprecationWarning, match="evaluate_scenarios"):
-            legacy = evaluate_scenarios(polynomials, suite, engine="dense")
         assert [list(row) for row in routed] == [list(row) for row in baseline]
-        assert [list(row) for row in routed] == [list(row) for row in legacy]
+        with pytest.raises(TypeError, match="engine"):
+            evaluate_scenarios(polynomials, suite, engine="dense")
 
     def test_top_k_and_sensitivity_accept_options(self):
         artifact = make_artifact()
@@ -141,9 +165,31 @@ class TestEntryPoints:
 
     def test_mixing_rejected_at_entry_points(self):
         artifact = make_artifact()
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="engine"):
             artifact.ask_many(
                 SUITE, engine="dense", options=EvalOptions())
+        # The positional slots the deprecated keywords held are gone too.
+        with pytest.raises(TypeError):
+            artifact.ask_many(SUITE, 1.0, 2)
+
+    def test_surfaces_that_read_no_knob_take_no_options(self):
+        """Compression and every mutation read no knob, so none of
+        them accepts ``options=``."""
+        from repro.api.mutation import extend_artifact
+
+        session = ProvenanceSession.from_strings(POLYNOMIALS, forest=FOREST)
+        artifact = session.compress(2, algorithm="greedy")
+        added = ["b1*m1"]
+        calls = [
+            lambda: session.compress(2, algorithm="greedy",
+                                     options=EvalOptions()),
+            lambda: session.extend(added, artifact, options=EvalOptions()),
+            lambda: artifact.refresh(added, options=EvalOptions()),
+            lambda: extend_artifact(artifact, added, options=EvalOptions()),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="options"):
+                call()
 
 
 class TestErrorsHierarchy:

@@ -11,7 +11,7 @@ and a small delta are abstracted side by side); the
 deterministic tests cover the drift-triggered recompress fallback, the
 copy-on-extend route for mmap-backed artifacts, revision plumbing
 through both serialization formats, and the unified MutationResult
-shape (including its deprecated tuple access).
+shape (named fields only).
 """
 
 import warnings
@@ -461,14 +461,13 @@ class TestMutationResult:
         assert tagged.stats()["id"] == "a" * 64
         assert result.artifact_id is None  # with_id copies
 
-    def test_tuple_access_is_deprecated(self):
+    def test_tuple_access_removed(self):
+        """The named fields are the one way to read a result."""
         result = self.make_result()
-        with pytest.warns(DeprecationWarning, match="tuple-style"):
+        with pytest.raises(TypeError):
             artifact, path, drift = result
-        assert (artifact, path, drift) == (
-            result.artifact, result.path, result.drift)
-        with pytest.warns(DeprecationWarning, match="tuple-style"):
-            assert result[1] == result.path
+        with pytest.raises(TypeError):
+            _ = result[1]
 
 
 # ---------------------------------------------------------------------------

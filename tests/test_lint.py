@@ -251,30 +251,47 @@ class TestPickledCaches:
 
 
 class TestKeywordContract:
+    """RPL009's threading condition: a public callable of the facade or
+    the analysis layer that reaches an evaluation sink takes options=
+    and passes it on (as options=, or as the knobs it resolved to)."""
+
     def test_fires_when_engine_not_accepted(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "scenarios/analysis.py": """\
                 def run_all(polys, scenarios):
                     return polys.evaluate_batch(scenarios)
                 """,
-        }, select={"RPL006"})
-        assert codes(findings) == ["RPL006"]
+        }, select={"RPL009"})
+        assert codes(findings) == ["RPL009"]
+        assert "options=" in findings[0].message
 
     def test_fires_when_engine_not_forwarded(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "scenarios/analysis.py": """\
-                def run_all(polys, scenarios, engine="auto"):
+                def run_all(polys, scenarios, *, options=None):
                     return polys.evaluate_batch(scenarios)
+
+                def run_blocks(polys, scenarios, *, options=None):
+                    # workers resolved, engine silently re-defaulted
+                    return iter_value_blocks(
+                        polys, scenarios, workers=options.workers)
                 """,
-        }, select={"RPL006"})
-        assert codes(findings) == ["RPL006"]
-        assert "forward" in findings[0].message
+        }, select={"RPL009"})
+        assert codes(findings) == ["RPL009", "RPL009"]
+        assert all("pass its options on" in f.message for f in findings)
 
     def test_silent_when_threaded_or_private(self, tmp_path):
         assert lint_tree(tmp_path, {
             "scenarios/analysis.py": """\
-                def run_all(polys, scenarios, engine="auto", *, options=None):
-                    return polys.evaluate_batch(scenarios, engine=engine)
+                def run_all(polys, scenarios, *, options=None):
+                    opts = EvalOptions.coerce(options)
+                    return polys.evaluate_batch(scenarios, engine=opts.engine)
+
+                def run_blocks(polys, scenarios, *, options=None):
+                    opts = EvalOptions.coerce(options)
+                    return iter_value_blocks(
+                        polys, scenarios, workers=opts.workers,
+                        engine=opts.engine)
 
                 def run_kwargs(polys, scenarios, **options):
                     return polys.evaluate_batch(scenarios, **options)
@@ -285,18 +302,18 @@ class TestKeywordContract:
         }) == []
 
     def test_options_carrier_satisfies_contract(self, tmp_path):
-        # Forwarding the bundled options= knob counts as threading the
-        # engine contract end to end (the EvalOptions carrier, PR 8).
+        # Forwarding the bundled options= knob threads every knob end
+        # to end.
         assert lint_tree(tmp_path, {
             "scenarios/analysis.py": """\
                 def run_all(polys, scenarios, *, options=None):
-                    return polys.evaluate_batch(scenarios, options=options)
+                    return evaluate_scenarios(polys, scenarios, options=options)
                 """,
-        }, select={"RPL006"}) == []
+        }, select={"RPL009"}) == []
 
     def test_backend_contract_on_solver_sinks(self, tmp_path):
-        # Abstraction and solver sinks take no backend= keyword (one
-        # compression core), so RPL006 leaves their callers alone.
+        # Abstraction and solver sinks take no knob (one compression
+        # core), so their callers need no options=.
         assert lint_tree(tmp_path, {
             "api/session.py": """\
                 from repro.algorithms.greedy import greedy_vvs
@@ -305,7 +322,7 @@ class TestKeywordContract:
                     result = greedy_vvs(polys, forest, bound)
                     return abstract(polys, result.vvs)
                 """,
-        }, select={"RPL006"}) == []
+        }, select={"RPL009"}) == []
 
 
 class TestOptionsContract:
@@ -321,72 +338,98 @@ class TestOptionsContract:
 
     def test_silent_with_options_param_or_kwargs_or_private(self, tmp_path):
         assert lint_tree(tmp_path, {
-            "scenarios/analysis.py": """\
-                def run_all(polys, scenarios, *, options=None):
-                    return polys.evaluate_batch(scenarios, options=options)
+            "api/artifact.py": """\
+                def answer_all(artifact, scenarios, *, options=None):
+                    return artifact.ask_many(scenarios, options=options)
 
-                def run_kwargs(polys, scenarios, **kwargs):
-                    return polys.evaluate_batch(scenarios, **kwargs)
+                def answer_kwargs(artifact, scenarios, **kwargs):
+                    return artifact.ask_many(scenarios, **kwargs)
 
-                def _internal(polys, scenarios):
-                    return polys.evaluate_batch(scenarios)
+                def _internal(artifact, scenarios):
+                    return artifact.ask_many(scenarios)
                 """,
         }, select={"RPL009"}) == []
 
     def test_silent_outside_entry_point_paths(self, tmp_path):
         # The mechanism layer (scenarios/parallel.py) keeps its plain
-        # keyword signatures — RPL009 only binds the facade/analysis.
+        # keyword signatures, and the service reaches no sink in a
+        # public callable — RPL009 only threads the facade/analysis.
         assert lint_tree(tmp_path, {
             "scenarios/parallel.py": """\
-                def evaluate_scenarios_parallel(polys, scenarios):
-                    return polys.evaluate_batch(scenarios, engine="auto")
+                def evaluate_scenarios_parallel(polys, scenarios, *,
+                                                workers, engine="auto"):
+                    return polys.evaluate_batch(scenarios)
+                """,
+            "service/app.py": """\
+                class WhatIfService:
+                    def handle(self, artifact, scenarios):
+                        return artifact.ask_many(scenarios)
                 """,
         }, select={"RPL009"}) == []
 
 
 class TestMutationContract:
-    def test_fires_when_mutation_entry_lacks_options(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "api/mutation.py": """\
-                def grow(artifact, polynomials):
-                    return artifact.refresh(polynomials)
-                """,
-        }, select={"RPL010"})
-        assert codes(findings) == ["RPL010"]
-        assert "options=" in findings[0].message
+    """RPL009's bare-knob condition: no public callable of the facade,
+    the analysis layer or the service routes takes a bare engine/
+    workers/chunk_size/backend keyword — mutation surfaces included."""
 
     def test_fires_on_bare_knob_even_with_options(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "api/session.py": """\
                 def grow(session, polynomials, *, backend="auto", options=None):
-                    return session.extend(polynomials, options=options)
+                    return session.extend(polynomials)
                 """,
-        }, select={"RPL010"})
-        assert codes(findings) == ["RPL010"]
+        }, select={"RPL009"})
+        assert codes(findings) == ["RPL009"]
         assert "backend=" in findings[0].message
 
+    def test_fires_on_bare_knob_in_service_and_constructors(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "service/app.py": """\
+                class WhatIfService:
+                    def __init__(self, store, *, workers=None):
+                        self.store = store
+
+                async def start_service(spool, *, engine="auto"):
+                    return WhatIfService(spool)
+                """,
+            "scenarios/analysis.py": """\
+                def top_k(polys, scenarios, k=10, *, options=None,
+                          chunk_size=None):
+                    return evaluate_scenarios(polys, scenarios, options=options)
+                """,
+        }, select={"RPL009"})
+        assert codes(findings) == ["RPL009"] * 3
+        knobs = ("chunk_size=", "workers=", "engine=")
+        for knob, finding in zip(knobs, findings, strict=True):
+            assert knob in finding.message
+
     def test_silent_with_options_or_private_or_no_sink(self, tmp_path):
+        # A mutation reads no knob: it needs no options= (nor refuses it).
         assert lint_tree(tmp_path, {
             "api/artifact.py": """\
-                def grow(artifact, polynomials, *, options=None):
-                    return artifact.refresh(polynomials, options=options)
+                def grow(artifact, polynomials):
+                    return artifact.refresh(polynomials)
 
-                def _internal(artifact, polynomials):
+                def grow_with(artifact, polynomials, *, options=None):
+                    return artifact.refresh(polynomials)
+
+                def _internal(artifact, polynomials, engine="dense"):
                     return artifact.refresh(polynomials)
 
                 def describe(artifact):
                     return artifact.stats()
                 """,
-        }, select={"RPL010"}) == []
+        }, select={"RPL009"}) == []
 
     def test_silent_outside_mutation_paths(self, tmp_path):
-        # list.extend in the core is not an artifact mutation surface.
+        # The core keeps plain keywords; RPL009 does not bind it.
         assert lint_tree(tmp_path, {
             "core/polynomial.py": """\
-                def merge(target, polynomials):
+                def merge(target, polynomials, engine="dense"):
                     return target.extend(polynomials)
                 """,
-        }, select={"RPL010"}) == []
+        }, select={"RPL009"}) == []
 
 
 class TestResourceLifecycle:
@@ -702,8 +745,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert repro_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPL001", "RPL008", "RPL100"):
+        for code in ("RPL001", "RPL008", "RPL009", "RPL100"):
             assert code in out
+        for code in ("RPL006", "RPL010"):  # folded into RPL009
+            assert code not in out
 
     def test_standalone_module_entry(self, tmp_path, capsys):
         from repro.lint.cli import main as lint_main

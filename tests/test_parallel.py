@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.parser import parse_set
 from repro.core.valuation import Valuation
+from repro.options import EvalOptions
 from repro.scenarios import (
     Scenario,
     Sweep,
@@ -31,6 +32,19 @@ from repro.scenarios.parallel import (
 from repro.workloads.random_polys import random_polynomials
 
 VARIABLES = ["a", "b", "c", "d"]
+
+#: Two worker processes: the pool path, whenever the family is large
+#: enough (MIN_PARALLEL_SCENARIOS).
+TWO_WORKERS = EvalOptions(workers=2)
+
+#: The shard size top_k/sensitivity stream with (not a user knob).
+CHUNK_SIZE = "repro.scenarios.parallel.DEFAULT_CHUNK_SIZE"
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Shard top_k/sensitivity streams into 128-scenario chunks."""
+    monkeypatch.setattr(CHUNK_SIZE, 128)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +134,7 @@ class TestParallelEquivalence:
             sorted(polys.variables), 700, seed=23, changes=6
         )
         serial = evaluate_scenarios(polys, sweep)
-        parallel = evaluate_scenarios(polys, sweep, workers=2)
+        parallel = evaluate_scenarios(polys, sweep, options=TWO_WORKERS)
         forced = evaluate_scenarios_parallel(
             polys, sweep, workers=2, min_parallel=0
         )
@@ -143,7 +157,9 @@ class TestParallelEquivalence:
         """Small suites never pay for a pool (same answers either way)."""
         scenarios = [Scenario("s", {"a": 0.5})] * 10
         assert numpy.array_equal(
-            evaluate_scenarios(polys, scenarios, workers=4),
+            evaluate_scenarios(
+                polys, scenarios, options=EvalOptions(workers=4)
+            ),
             evaluate_scenarios(polys, scenarios),
         )
 
@@ -341,32 +357,36 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k(polys, [], k=0)
 
-    def test_bad_chunk_size_raises_not_empty(self, polys):
+    def test_bad_chunk_size_raises_not_empty(self, polys, monkeypatch):
         """chunk_size <= 0 must raise, never silently return []."""
         sweep = Sweep.one_at_a_time(["a"], [0.5])
-        with pytest.raises(ValueError):
-            top_k(polys, sweep, k=1, chunk_size=0)
-        with pytest.raises(ValueError):
-            sensitivity(polys, sweep, chunk_size=-3)
+        for chunk_size in (0, -3):
+            with pytest.raises(ValueError, match="chunk_size"):
+                list(iter_value_blocks(polys, sweep, chunk_size=chunk_size))
+        monkeypatch.setattr(CHUNK_SIZE, 0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            top_k(polys, sweep, k=1)
+        with pytest.raises(ValueError, match="chunk_size"):
+            sensitivity(polys, sweep)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, small_chunks):
         polys = _workload()
         sweep = Sweep.random(sorted(polys.variables), 600, seed=2, changes=4)
         serial = top_k(polys, sweep, k=7)
-        parallel = top_k(polys, sweep, k=7, workers=2, chunk_size=128)
+        parallel = top_k(polys, sweep, k=7, options=TWO_WORKERS)
         assert serial == parallel
 
-    def test_parallel_over_plain_list_matches_serial(self):
+    def test_parallel_over_plain_list_matches_serial(self, small_chunks):
         """Non-Sweep iterables shard too (rows ship to the pool)."""
         polys = _workload()
         scenarios = Sweep.random(
             sorted(polys.variables), 600, seed=12, changes=4
         ).materialize()
         serial = top_k(polys, scenarios, k=5)
-        parallel = top_k(polys, scenarios, k=5, workers=2, chunk_size=128)
+        parallel = top_k(polys, scenarios, k=5, options=TWO_WORKERS)
         assert serial == parallel
 
-    def test_parallel_with_transform_matches_serial(self):
+    def test_parallel_with_transform_matches_serial(self, small_chunks):
         """Transforms run in the parent; evaluation still shards."""
         polys = _workload()
         sweep = Sweep.random(sorted(polys.variables), 600, seed=8, changes=3)
@@ -380,7 +400,7 @@ class TestTopK:
 
         serial = top_k(polys, sweep, k=5, transform=damp)
         parallel = top_k(
-            polys, sweep, k=5, transform=damp, workers=2, chunk_size=128
+            polys, sweep, k=5, transform=damp, options=TWO_WORKERS
         )
         assert serial == parallel
 
@@ -402,11 +422,12 @@ class TestSensitivity:
         deltas = {item.variable: item.mean_delta for item in report}
         assert deltas["a"] == deltas["b"] == pytest.approx(18.0)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(CHUNK_SIZE, 150)
         polys = _workload()
         sweep = Sweep.random(sorted(polys.variables), 600, seed=6, changes=3)
         assert sensitivity(polys, sweep) == sensitivity(
-            polys, sweep, workers=2, chunk_size=150
+            polys, sweep, options=TWO_WORKERS
         )
 
 
@@ -418,7 +439,7 @@ class TestFacadeWorkers:
         session = ProvenanceSession.from_polynomials(polys)
         sweep = Sweep.random(sorted(polys.variables), 40, seed=4)
         serial = session.ask_many(sweep)
-        parallel = session.ask_many(sweep, workers=2)
+        parallel = session.ask_many(sweep, options=TWO_WORKERS)
         assert serial == parallel
         assert all(answer.exact for answer in serial)
         assert serial[0].name == sweep[0].name
@@ -435,7 +456,9 @@ class TestFacadeWorkers:
         session = ProvenanceSession.from_polynomials(polys, forest=tree)
         artifact = session.compress(bound=max(1, polys.num_monomials // 2))
         sweep = Sweep.random(pool, 50, seed=9, changes=2)
-        assert artifact.ask_many(sweep) == artifact.ask_many(sweep, workers=2)
+        assert artifact.ask_many(sweep) == artifact.ask_many(
+            sweep, options=TWO_WORKERS
+        )
 
     def test_artifact_lift_feeds_top_k(self):
         from repro.api.session import ProvenanceSession

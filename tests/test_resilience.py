@@ -188,16 +188,16 @@ class TestStoreRecovery:
     def test_clean_store_recovery_is_a_noop(self, tmp_path):
         store = ArtifactStore(tmp_path)
         artifact_id = store.put(build_artifact())
-        baseline = store.get(artifact_id).ask(PROBE).values
+        baseline = store.get(artifact_id).artifact.ask(PROBE).values
 
         reopened = ArtifactStore(tmp_path)
         assert reopened.stats()["quarantined"] == 0
-        assert reopened.get(artifact_id).ask(PROBE).values == baseline
+        assert reopened.get(artifact_id).artifact.ask(PROBE).values == baseline
 
     def test_put_retries_through_a_corrupted_spool_write(self, tmp_path):
         clean = ArtifactStore(tmp_path / "clean")
         want_id = clean.put(build_artifact())
-        baseline = clean.get(want_id).ask(PROBE).values
+        baseline = clean.get(want_id).artifact.ask(PROBE).values
 
         # Corrupt exactly the first spool write (offset 0 breaks the
         # container magic, so decode-verification catches it).
@@ -209,7 +209,7 @@ class TestStoreRecovery:
             artifact_id = store.put(build_artifact())
         assert artifact_id == want_id
         assert store.quarantined == 1  # the torn write, kept for forensics
-        assert store.get(artifact_id).ask(PROBE).values == baseline
+        assert store.get(artifact_id).artifact.ask(PROBE).values == baseline
 
     def test_put_exhausting_retries_raises_serialize_error(self, tmp_path):
         from repro.errors import SerializeError

@@ -236,6 +236,7 @@ class TestEndToEnd:
                 {"polynomials": []},  # empty
                 {"polynomials": [7]},  # not strings
                 {"polynomials": ["b1*m1"], "drift_limit": "lots"},
+                {"polynomials": ["b1*m1"], "options": {}},  # no knobs
             ):
                 status, _ = await asyncio.to_thread(
                     call, port, "POST",
@@ -247,7 +248,7 @@ class TestEndToEnd:
             return cases
 
         assert asyncio.run(with_server(scenario)(tmp_path)) == [
-            400, 400, 400, 400, 405]
+            400, 400, 400, 400, 400, 405]
 
     def test_healthz_reports_counters(self, tmp_path):
         async def scenario(server):
@@ -275,11 +276,10 @@ class TestCoalescing:
         calls = []
         real_ask_many = CompressedProvenance.ask_many
 
-        def counting_ask_many(self, scenarios, default=1.0, *, options=None):
+        def counting_ask_many(self, scenarios, default=1.0):
             scenarios = list(scenarios)
             calls.append(len(scenarios))
-            return real_ask_many(
-                self, scenarios, default=default, options=options)
+            return real_ask_many(self, scenarios, default=default)
 
         monkeypatch.setattr(
             CompressedProvenance, "ask_many", counting_ask_many)
@@ -428,7 +428,7 @@ class TestStoreLru:
     def test_eviction_and_remap_round_trip(self, tmp_path):
         store = ArtifactStore(tmp_path, capacity=1)
         first = store.put(self.build_artifact(2))
-        baseline = store.get(first).ask({"b1": 0.5}).values
+        baseline = store.get(first).artifact.ask({"b1": 0.5}).values
         second = store.put(self.build_artifact(5))
         assert store.stats()["evictions"] == 1
         assert store.stats()["resident"] == 1
@@ -438,7 +438,7 @@ class TestStoreLru:
         assert store.stats()["misses"] == 1
         assert warm.artifact.mmap_active is True
         # ...with identical answers, and evicts the other one in turn.
-        assert warm.ask({"b1": 0.5}).values == baseline
+        assert warm.artifact.ask({"b1": 0.5}).values == baseline
         assert store.stats()["evictions"] == 2
         assert second in store  # spooled, not resident
 
@@ -498,6 +498,9 @@ class TestErrorPaths:
                 await asyncio.to_thread(
                     call, port, "POST", "/artifacts",
                     artifact_body(bound="two")),
+                await asyncio.to_thread(
+                    call, port, "POST", "/artifacts",
+                    artifact_body(options={"engine": "dense"})),
                 await asyncio.to_thread(call, port, "POST", ask, {"x": 1}),
                 await asyncio.to_thread(
                     call, port, "POST", ask,
@@ -516,8 +519,8 @@ class TestErrorPaths:
         self, tmp_path
     ):
         """A create the compression core cannot serve exactly — provenance
-        breaking §2.2 compatibility, or the retired ``backend`` option —
-        is a client error."""
+        breaking §2.2 compatibility, or the retired ``backend`` option
+        inside the refused ``"options"`` field — is a client error."""
         async def scenario(server):
             port = server.port
             return [
@@ -538,7 +541,47 @@ class TestErrorPaths:
         messages = [body["error"]["message"] for _, body in results]
         assert "meta-variable 'SB'" in messages[0]
         assert "more than one node" in messages[1]
-        assert "backend" in messages[2]
+        assert "'options'" in messages[2]
+
+    def test_client_cannot_set_the_process_count(self, tmp_path, monkeypatch):
+        """An ask's ``"options"`` once reached the process pool: with
+        ``"workers": N`` and a batch of ``MIN_PARALLEL_SCENARIOS`` the
+        server started N processes from its event loop. The field is
+        refused, and no served ask reaches the pool."""
+        from repro.scenarios import parallel
+
+        reached = []
+
+        def no_pool(shards, *, workers, **kwargs):
+            reached.append(workers)
+            raise RuntimeError("the service must not start a process pool")
+
+        monkeypatch.setattr(parallel, "_healed_stream", no_pool)
+        batch = [
+            {"changes": {"b1": 0.5 + index / 1024}}
+            for index in range(parallel.MIN_PARALLEL_SCENARIOS)
+        ]
+
+        async def scenario(server):
+            port = server.port
+            _, created = await asyncio.to_thread(
+                call, port, "POST", "/artifacts", artifact_body())
+            ask = f"/artifacts/{created['id']}/ask"
+            return (
+                await asyncio.to_thread(
+                    call, port, "POST", ask,
+                    {"scenarios": batch, "options": {"workers": 2}}),
+                await asyncio.to_thread(
+                    call, port, "POST", ask, {"scenarios": batch}),
+            )
+
+        (refused, body), (answered, answers) = asyncio.run(
+            with_server(scenario)(tmp_path))
+        assert refused == 400
+        assert "'options'" in body["error"]["message"]
+        assert answered == 200
+        assert len(answers["answers"]) == len(batch)
+        assert reached == []
 
     def test_non_finite_default_is_400(self, tmp_path):
         """``json.loads`` accepts ``NaN`` and ``Infinity``; an ask must
@@ -770,7 +813,10 @@ class TestWarmArtifact:
 
     def test_answers_match_facade(self):
         # The resident handle builds the cut's lift index on admit; the
-        # twin artifact builds its own lazily, on its first ask.
+        # twin artifact builds its own lazily, on its first ask. The
+        # service asks the resident artifact, as here.
+        from repro.core.valuation import Valuation
+
         artifact = self.build()
         warm = WarmArtifact(self.build())
         suite = [
@@ -782,18 +828,24 @@ class TestWarmArtifact:
         ]
         for default in (1.0, 0.0, 0.1, 2.5):
             want = artifact.ask_many(suite, default=default)
-            got = warm.ask_many(suite, default=default)
+            got = warm.artifact.ask_many(suite, default=default)
             assert [(a.name, a.values, a.exact) for a in got] == [
                 (a.name, a.values, a.exact) for a in want]
+            for changes, answer in zip(suite, want, strict=True):
+                lifted, exact = warm.lift_one(Valuation(changes, default))
+                want_lifted = artifact.lift(Valuation(changes, default))
+                assert exact == answer.exact
+                assert lifted.assignment == want_lifted.assignment
+                assert lifted.default == want_lifted.default
 
     def test_named_scenarios_keep_names(self):
         from repro.scenarios.scenario import Scenario
 
         artifact = self.build()
         warm = WarmArtifact(artifact)
-        answers = warm.ask_many([Scenario("mine", {"b1": 0.5})])
+        answers = warm.artifact.ask_many([Scenario("mine", {"b1": 0.5})])
         assert answers[0].name == "mine"
-        assert answers[0] == artifact.ask_many(
+        assert answers[0] == self.build().ask_many(
             [Scenario("mine", {"b1": 0.5})])[0]
 
 
