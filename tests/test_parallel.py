@@ -37,14 +37,10 @@ VARIABLES = ["a", "b", "c", "d"]
 #: enough (MIN_PARALLEL_SCENARIOS).
 TWO_WORKERS = EvalOptions(workers=2)
 
-#: The shard size top_k/sensitivity stream with (not a user knob).
+#: The shard size top_k/sensitivity stream with (not a user knob). The
+#: parallel-vs-serial tests patch it only after the serial reference has
+#: run, so a one-block serial answer is checked against many pool shards.
 CHUNK_SIZE = "repro.scenarios.parallel.DEFAULT_CHUNK_SIZE"
-
-
-@pytest.fixture
-def small_chunks(monkeypatch):
-    """Shard top_k/sensitivity streams into 128-scenario chunks."""
-    monkeypatch.setattr(CHUNK_SIZE, 128)
 
 
 @pytest.fixture(scope="module")
@@ -369,24 +365,26 @@ class TestTopK:
         with pytest.raises(ValueError, match="chunk_size"):
             sensitivity(polys, sweep)
 
-    def test_parallel_matches_serial(self, small_chunks):
+    def test_parallel_matches_serial(self, monkeypatch):
         polys = _workload()
         sweep = Sweep.random(sorted(polys.variables), 600, seed=2, changes=4)
         serial = top_k(polys, sweep, k=7)
+        monkeypatch.setattr(CHUNK_SIZE, 128)
         parallel = top_k(polys, sweep, k=7, options=TWO_WORKERS)
         assert serial == parallel
 
-    def test_parallel_over_plain_list_matches_serial(self, small_chunks):
+    def test_parallel_over_plain_list_matches_serial(self, monkeypatch):
         """Non-Sweep iterables shard too (rows ship to the pool)."""
         polys = _workload()
         scenarios = Sweep.random(
             sorted(polys.variables), 600, seed=12, changes=4
         ).materialize()
         serial = top_k(polys, scenarios, k=5)
+        monkeypatch.setattr(CHUNK_SIZE, 128)
         parallel = top_k(polys, scenarios, k=5, options=TWO_WORKERS)
         assert serial == parallel
 
-    def test_parallel_with_transform_matches_serial(self, small_chunks):
+    def test_parallel_with_transform_matches_serial(self, monkeypatch):
         """Transforms run in the parent; evaluation still shards."""
         polys = _workload()
         sweep = Sweep.random(sorted(polys.variables), 600, seed=8, changes=3)
@@ -399,6 +397,7 @@ class TestTopK:
             )
 
         serial = top_k(polys, sweep, k=5, transform=damp)
+        monkeypatch.setattr(CHUNK_SIZE, 128)
         parallel = top_k(
             polys, sweep, k=5, transform=damp, options=TWO_WORKERS
         )
@@ -423,12 +422,11 @@ class TestSensitivity:
         assert deltas["a"] == deltas["b"] == pytest.approx(18.0)
 
     def test_parallel_matches_serial(self, monkeypatch):
-        monkeypatch.setattr(CHUNK_SIZE, 150)
         polys = _workload()
         sweep = Sweep.random(sorted(polys.variables), 600, seed=6, changes=3)
-        assert sensitivity(polys, sweep) == sensitivity(
-            polys, sweep, options=TWO_WORKERS
-        )
+        serial = sensitivity(polys, sweep)
+        monkeypatch.setattr(CHUNK_SIZE, 150)
+        assert serial == sensitivity(polys, sweep, options=TWO_WORKERS)
 
 
 class TestFacadeWorkers:
