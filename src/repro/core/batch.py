@@ -46,8 +46,8 @@ containing them. The patched segments are summed by the *same*
 ``add.reduceat`` machinery over the same float values in the same
 order, so delta answers are **bit-identical** to dense ones — the
 property the test suite asserts. ``engine="auto"`` picks delta when
-the mean number of changed variables per scenario is a small fraction
-of the alphabet (:func:`choose_engine`).
+the expected number of affected monomials per scenario is at most 15%
+of the multiset (:func:`choose_engine`).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ import numpy
 
 __all__ = [
     "CompiledPolynomialSet",
-    "DELTA_SPARSITY_THRESHOLD",
     "ENGINES",
     "choose_engine",
 ]
@@ -64,19 +63,12 @@ __all__ = [
 #: The valid ``engine=`` names accepted across the stack.
 ENGINES = ("dense", "delta", "auto")
 
-#: ``engine="auto"`` picks the delta path when the mean number of
-#: changed variables per scenario is at most this fraction of the
-#: compiled alphabet — the "mean changed-vars ≪ V" heuristic, used
-#: when nothing is known about monomial fan-in.
-DELTA_SPARSITY_THRESHOLD = 0.25
-
-#: The sharper form of the same heuristic a compiled set can apply:
-#: scenarios are sparse *for delta purposes* when the expected number
-#: of affected monomials — mean changed variables × average monomials
-#: per variable — is at most this fraction of the multiset. Changed
-#: variables undercount the work when variables fan into many
-#: monomials (20 changed vars of 288 sounds sparse, but can touch 20%
-#: of the monomials, where dense wins).
+#: ``engine="auto"`` picks the delta path when the expected number of
+#: affected monomials per scenario — mean changed variables × average
+#: monomials per variable — is at most this fraction of the multiset.
+#: Changed variables alone undercount the work when variables fan into
+#: many monomials (20 changed vars of 288 sounds sparse, but can touch
+#: 20% of the monomials, where dense wins).
 DELTA_AFFECTED_THRESHOLD = 0.15
 
 #: At most this many per-default baselines are cached per compiled set
@@ -112,35 +104,24 @@ def _int_power(base, exps):
     return result
 
 
-def choose_engine(mean_changes, num_variables, *,
-                  mean_monomials_per_variable=None, num_monomials=None):
+def choose_engine(mean_changes, *, mean_monomials_per_variable,
+                  num_monomials):
     """``"dense"`` or ``"delta"`` for scenarios averaging
-    ``mean_changes`` changed variables over a ``num_variables``
-    alphabet — the ``engine="auto"`` policy.
+    ``mean_changes`` changed variables — the ``engine="auto"`` policy.
 
-    With the optional fan-in statistics (a compiled set always passes
-    them), the decision compares the *expected affected monomials* —
-    ``mean_changes × mean_monomials_per_variable`` — against
-    :data:`DELTA_AFFECTED_THRESHOLD` of the multiset; without them it
-    falls back to comparing ``mean_changes`` against
-    :data:`DELTA_SPARSITY_THRESHOLD` of the alphabet.
+    Compares the *expected affected monomials* — ``mean_changes ×
+    mean_monomials_per_variable`` — against
+    :data:`DELTA_AFFECTED_THRESHOLD` of the ``num_monomials`` rows.
 
-    >>> choose_engine(1.0, 512)
-    'delta'
-    >>> choose_engine(400.0, 512)
-    'dense'
-    >>> choose_engine(20.0, 288, mean_monomials_per_variable=18.5,
+    >>> choose_engine(20.0, mean_monomials_per_variable=18.5,
     ...               num_monomials=1781)
     'dense'
+    >>> choose_engine(1.0, mean_monomials_per_variable=18.5,
+    ...               num_monomials=1781)
+    'delta'
     """
-    if num_variables <= 0:
-        return "dense"
-    if mean_monomials_per_variable is not None and num_monomials:
-        affected = mean_changes * mean_monomials_per_variable
-        if affected <= DELTA_AFFECTED_THRESHOLD * num_monomials:
-            return "delta"
-        return "dense"
-    if mean_changes <= DELTA_SPARSITY_THRESHOLD * num_variables:
+    affected = mean_changes * mean_monomials_per_variable
+    if affected <= DELTA_AFFECTED_THRESHOLD * num_monomials:
         return "delta"
     return "dense"
 
@@ -177,62 +158,28 @@ class _DeltaIndex:
     )
 
     def __init__(self, layers, poly_starts, num_monomials, num_variables):
-        depth = len(layers)
-        self.depths = numpy.zeros(num_monomials, dtype=numpy.intp)
-        self.pad_cols = numpy.zeros((depth, num_monomials), dtype=numpy.intp)
-        self.pad_exps = numpy.ones((depth, num_monomials), dtype=numpy.int64)
-        row_parts = []
-        col_parts = []
-        for j, (selector, cols, nonunit, exps) in enumerate(layers):
-            rows = (
-                numpy.arange(num_monomials, dtype=numpy.intp)
-                if selector is None
-                else selector
-            )
-            self.depths[rows] += 1
-            self.pad_cols[j, rows] = cols
-            full_exps = numpy.ones(len(cols), dtype=numpy.int64)
-            full_exps[nonunit] = exps
-            self.pad_exps[j, rows] = full_exps
-            real = full_exps != 0
-            row_parts.append(rows[real])
-            col_parts.append(cols[real])
-        all_rows = (
-            numpy.concatenate(row_parts)
-            if row_parts
-            else numpy.zeros(0, dtype=numpy.intp)
-        )
-        all_cols = (
-            numpy.concatenate(col_parts)
-            if col_parts
-            else numpy.zeros(0, dtype=numpy.intp)
-        )
-        # CSR by column; rows within a column stay sorted ascending, so
-        # single-column plans need no extra sort and unions can unique
-        # a concatenation of sorted runs. The inversion is the shared
-        # idiom of repro.core.columnar (the compression side builds its
-        # variable→monomial indexes the same way).
-        from repro.core.columnar import invert_index
-
-        self.col_starts, order = invert_index(
-            all_cols, num_variables, secondary=all_rows
-        )
-        self.col_rows = all_rows[order]
-        self.mono_poly = numpy.repeat(
-            numpy.arange(len(poly_starts) - 1, dtype=numpy.intp),
-            numpy.diff(poly_starts),
-        )
-        self.any_nonunit = bool(
-            ((self.pad_exps != 1) & (self.pad_exps != 0)).any()
-        )
+        self.depths = numpy.zeros(0, dtype=numpy.intp)
+        self.pad_cols = numpy.zeros((0, 0), dtype=numpy.intp)
+        self.pad_exps = numpy.ones((0, 0), dtype=numpy.int64)
+        self.col_starts = numpy.zeros(1, dtype=numpy.intp)
+        self.col_rows = numpy.zeros(0, dtype=numpy.intp)
         self.column_cache = {}
+        every_row = numpy.arange(num_monomials, dtype=numpy.intp)
+        self.extend(
+            [
+                (every_row if selector is None else selector, *rest)
+                for selector, *rest in layers
+            ],
+            0, num_monomials, poly_starts, num_variables,
+        )
 
     def extend(self, local_layers, base_rows, added_rows, poly_starts,
                num_variables):
         """Grow the index by appended monomial rows — never rebuilt.
 
-        ``local_layers`` are the appended part's layer tuples with
-        selectors in *local* coordinates (always concrete, never
+        The one index build: ``__init__`` is this append onto the empty
+        index. ``local_layers`` are the appended part's layer tuples
+        with selectors in *local* coordinates (always concrete, never
         ``None``); the appended rows occupy ``[base_rows, base_rows +
         added_rows)``. The padded factor matrices grow by trailing
         columns (and trailing layer rows when the appended monomials
@@ -336,19 +283,63 @@ class CompiledPolynomialSet:
     )
 
     def __init__(self, polynomial_set):
+        self.num_polynomials = 0
+        self.num_monomials = 0
+        self._columns = {}
+        self._layers = []
+        self._coeffs = numpy.zeros(0, dtype=numpy.float64)
+        self._poly_starts = numpy.zeros(1, dtype=numpy.intp)
+        # Delta-engine structures are derived lazily (and locally after
+        # unpickling) — dense-only users never build them.
+        self._delta = None
         # The factor arrays come from the shared columnar view (one
         # extraction pass serves both the compression core and this
-        # evaluator); rows run in each polynomial's canonical sorted
-        # order (not dict insertion order) so float summation order —
-        # and therefore the batch answers — is identical however the
-        # polynomial was built (parsed, substituted, or deserialized).
-        cm = polynomial_set.columnar()
-        vids = sorted(polynomial_set.variable_ids())
-        self._columns = {vid: col for col, vid in enumerate(vids)}
+        # evaluator).
+        self._append(polynomial_set.columnar())
+
+    def extend(self, polynomials):
+        """Grow the compiled matrix by appended polynomials, in place.
+
+        Compiles the appended polynomials' columnar view with
+        :meth:`_append`, the routine a build runs onto the empty set,
+        so an extended set evaluates bit-identically to a build of the
+        concatenated set — the contract the incremental-maintenance
+        property tests pin. The two differ at most in column numbering:
+        a build numbers the whole alphabet in id order, an extend gives
+        new variables trailing columns.
+        """
+        from repro.core.polynomial import PolynomialSet
+
+        added = PolynomialSet(list(polynomials))
+        if len(added):
+            self._append(added.columnar())
+
+    def _append(self, cm):
+        """Compile the rows of the columnar multiset ``cm`` onto the set.
+
+        The appended monomials become trailing rows (old row indices —
+        and the float summation order of every old polynomial — are
+        untouched), new variables become trailing columns in id order
+        (old columns keep their indices), each existing layer grows by
+        concatenation (appended selectors sort after every old row),
+        and deeper layers are appended when the new monomials need
+        them. The delta-engine index, when already built, is extended
+        by the same rows via :meth:`_DeltaIndex.extend` — never
+        rebuilt. Baselines are dropped (their row width changed) and
+        ``_source`` is cleared (an extended set no longer matches its
+        file).
+
+        Rows run in each polynomial's canonical sorted order (not dict
+        insertion order), so float summation order — and therefore the
+        batch answers — is identical however the polynomial was built
+        (parsed, substituted, or deserialized).
+        """
+        present = numpy.flatnonzero(numpy.bincount(cm.vids))
+        for vid in present.tolist():
+            self._columns.setdefault(vid, len(self._columns))
         # At least one column so constant monomials have a x0^0 factor
         # to point at even in a variable-free multiset.
-        self.num_variables = max(1, len(vids))
-        self.num_polynomials = len(polynomial_set)
+        self.num_variables = max(1, len(self._columns))
 
         # Normalization: constant monomials get a x0^0 factor and zero
         # polynomials contribute one 0-coefficient constant monomial,
@@ -356,104 +347,7 @@ class CompiledPolynomialSet:
         rows = cm.num_monomials
         lengths = cm.row_lengths
         poly_rows = numpy.diff(cm.poly_starts)
-        pad_before = numpy.zeros(self.num_polynomials, dtype=numpy.intp)
-        numpy.cumsum(poly_rows[:-1] == 0, out=pad_before[1:])
-        empty_polys = numpy.flatnonzero(poly_rows == 0)
-        total = rows + len(empty_polys)
-        final_idx = (
-            numpy.arange(rows, dtype=numpy.intp) + pad_before[cm.row_poly]
-        )
-        coeffs = numpy.zeros(total, dtype=numpy.float64)
-        coeffs[final_idx] = numpy.asarray(
-            [float(coeff) for coeff in cm.coeffs], dtype=numpy.float64
-        )
-        self.num_monomials = int(total)
-        self._coeffs = coeffs
-        poly_starts = numpy.zeros(self.num_polynomials + 1, dtype=numpy.intp)
-        numpy.cumsum(numpy.maximum(poly_rows, 1), out=poly_starts[1:])
-        self._poly_starts = poly_starts
-
-        # Per final monomial: its factor count after normalization, and
-        # where its real factors (if any) start in the flat arrays.
-        eff_len = numpy.ones(total, dtype=numpy.intp)
-        eff_len[final_idx] = numpy.maximum(lengths, 1)
-        real_len = numpy.zeros(total, dtype=numpy.intp)
-        real_len[final_idx] = lengths
-        flat_start = numpy.zeros(total, dtype=numpy.intp)
-        flat_start[final_idx] = cm.row_starts[:-1]
-        col_of = numpy.zeros(max(cm.max_vid(), -1) + 2, dtype=numpy.intp)
-        if vids:
-            col_of[numpy.asarray(vids, dtype=numpy.intp)] = numpy.arange(
-                len(vids), dtype=numpy.intp
-            )
-        cols_flat = col_of[cm.vids]
-
-        # Layer j: (monomial selector, columns, exponent fix-ups) over
-        # the monomials with a j-th factor; selector is None for layer 0
-        # (every monomial has one, by normalization).
-        self._layers = []
-        depth = int(eff_len.max()) if total else 0
-        for j in range(depth):
-            select = numpy.flatnonzero(eff_len > j)
-            has_real = real_len[select] > j
-            cols = numpy.zeros(len(select), dtype=numpy.intp)
-            exps = numpy.zeros(len(select), dtype=numpy.int64)
-            source = flat_start[select[has_real]] + j
-            cols[has_real] = cols_flat[source]
-            exps[has_real] = cm.exps[source]
-            # Provenance monomials are overwhelmingly multilinear;
-            # raising everything to the power 1 would dominate the
-            # evaluation, so only exponent != 1 factors go through ``**``.
-            nonunit = numpy.nonzero(exps != 1)[0]
-            selector = None if j == 0 else select
-            self._layers.append((selector, cols, nonunit, exps[nonunit]))
-
-        self._mean_touches = self._compute_mean_touches()
-        # Delta-engine structures are derived lazily (and locally after
-        # unpickling) — dense-only users never build them.
-        self._delta = None
-        self._baselines = {}
-        self._source = None
-
-    def extend(self, polynomials):
-        """Grow the compiled matrix by appended polynomials, in place.
-
-        The incremental counterpart of compiling from scratch: the
-        appended monomials become trailing rows (old row indices — and
-        the float summation order of every old polynomial — are
-        untouched), new variables become trailing columns (old columns
-        keep their indices), each existing layer grows by concatenation
-        (appended selectors sort after every old row), and deeper
-        layers are appended when the new monomials need them. The
-        delta-engine index, when already built, is extended by the same
-        rows via :meth:`_DeltaIndex.extend` — never rebuilt. Baselines
-        are dropped (their row width changed) and ``_source`` is
-        cleared (an extended set no longer matches its file).
-
-        A fresh compile of the concatenated set may number columns
-        differently (it sorts the whole alphabet), but per-row factor
-        order and per-polynomial reduction order are identical, so
-        evaluation answers are bit-identical to a from-scratch compile
-        — the contract the incremental-maintenance property tests pin.
-        """
-        from repro.core.polynomial import PolynomialSet
-
-        added = PolynomialSet(list(polynomials))
-        if not len(added):
-            return
-        cm = added.columnar()
-        new_vids = sorted(set(added.variable_ids()) - set(self._columns))
-        start = len(self._columns)
-        for col, vid in enumerate(new_vids, start=start):
-            self._columns[vid] = col
-        self.num_variables = max(1, len(self._columns))
-
-        # Normalization of the appended part, exactly as in __init__.
-        rows = cm.num_monomials
-        lengths = cm.row_lengths
-        poly_rows = numpy.diff(cm.poly_starts)
-        added_polys = cm.num_polynomials
-        pad_before = numpy.zeros(added_polys, dtype=numpy.intp)
+        pad_before = numpy.zeros(cm.num_polynomials, dtype=numpy.intp)
         numpy.cumsum(poly_rows[:-1] == 0, out=pad_before[1:])
         total = rows + int((poly_rows == 0).sum())
         final_idx = (
@@ -465,13 +359,13 @@ class CompiledPolynomialSet:
         )
         base_total = self.num_monomials
         self._coeffs = numpy.concatenate([self._coeffs, coeffs])
-        run_lengths = numpy.maximum(poly_rows, 1)
-        new_starts = numpy.empty(added_polys, dtype=numpy.intp)
-        numpy.cumsum(run_lengths, out=new_starts)
+        new_starts = numpy.cumsum(numpy.maximum(poly_rows, 1))
         self._poly_starts = numpy.concatenate(
             [self._poly_starts, base_total + new_starts]
         )
 
+        # Per appended monomial: its factor count after normalization,
+        # and where its real factors (if any) start in the flat arrays.
         eff_len = numpy.ones(total, dtype=numpy.intp)
         eff_len[final_idx] = numpy.maximum(lengths, 1)
         real_len = numpy.zeros(total, dtype=numpy.intp)
@@ -479,13 +373,12 @@ class CompiledPolynomialSet:
         flat_start = numpy.zeros(total, dtype=numpy.intp)
         flat_start[final_idx] = cm.row_starts[:-1]
         col_of = numpy.zeros(max(cm.max_vid(), -1) + 2, dtype=numpy.intp)
-        present = sorted(added.variable_ids())
-        if present:
-            col_of[numpy.asarray(present, dtype=numpy.intp)] = numpy.asarray(
-                [self._columns[vid] for vid in present], dtype=numpy.intp
-            )
+        col_of[present] = [self._columns[vid] for vid in present.tolist()]
         cols_flat = col_of[cm.vids]
 
+        # Layer j: (monomial selector, columns, exponent fix-ups) over
+        # the monomials with a j-th factor; selector is None for layer 0
+        # (every monomial has one, by normalization).
         old_depth = len(self._layers)
         depth = int(eff_len.max()) if total else 0
         layers = list(self._layers)
@@ -498,19 +391,19 @@ class CompiledPolynomialSet:
             source = flat_start[select[has_real]] + j
             cols[has_real] = cols_flat[source]
             exps[has_real] = cm.exps[source]
+            # Provenance monomials are overwhelmingly multilinear;
+            # raising everything to the power 1 would dominate the
+            # evaluation, so only exponent != 1 factors go through ``**``.
             nonunit = numpy.nonzero(exps != 1)[0]
             local_layers.append((select, cols, nonunit, exps[nonunit]))
             if j < old_depth:
                 old_selector, old_cols, old_nonunit, old_exps = layers[j]
-                merged_selector = (
+                layers[j] = (
                     None
                     if old_selector is None
                     else numpy.concatenate(
                         [old_selector, base_total + select]
-                    )
-                )
-                layers[j] = (
-                    merged_selector,
+                    ),
                     numpy.concatenate([old_cols, cols]),
                     numpy.concatenate(
                         [old_nonunit, nonunit + len(old_cols)]
@@ -518,19 +411,16 @@ class CompiledPolynomialSet:
                     numpy.concatenate([old_exps, exps[nonunit]]),
                 )
             else:
-                # Old layer 0 has selector None (it covers every old
-                # row); a genuinely new layer needs one — except when
-                # the set was empty, where layer 0 still covers all.
-                selector = (
-                    None
-                    if j == 0 and base_total == 0
-                    else base_total + select
-                )
-                layers.append((selector, cols, nonunit, exps[nonunit]))
+                # A new layer 0 (only on an empty set) covers every
+                # row; a deeper new layer needs a selector.
+                layers.append((
+                    None if j == 0 else base_total + select,
+                    cols, nonunit, exps[nonunit],
+                ))
 
         self._layers = layers
         self.num_monomials = base_total + total
-        self.num_polynomials += added_polys
+        self.num_polynomials += cm.num_polynomials
         self._mean_touches = self._compute_mean_touches()
         if self._delta is not None:
             self._delta.extend(
@@ -697,7 +587,7 @@ class CompiledPolynomialSet:
                 len(valuation.assignment) for valuation in valuations
             ) / len(valuations)
         return choose_engine(
-            mean_changes, self.num_variables,
+            mean_changes,
             mean_monomials_per_variable=self._mean_touches,
             num_monomials=self.num_monomials,
         )

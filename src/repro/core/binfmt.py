@@ -447,6 +447,12 @@ def _check_columnar(arrays, counts):
         raise SerializeError("inconsistent columnar buffers")
 
 
+_READ_ONLY = (
+    "a loaded artifact's polynomial set is read-only; copy it with "
+    "PolynomialSet(list(...)) to modify"
+)
+
+
 class BufferBackedPolynomialSet(PolynomialSet):
     """A :class:`PolynomialSet` view over a loaded binary container.
 
@@ -454,8 +460,9 @@ class BufferBackedPolynomialSet(PolynomialSet):
     buffers at load time, so answering scenarios never touches Python
     monomial objects. The object graph — needed only for exact scalar
     evaluation, equality, or re-serialization — materializes lazily on
-    first access to :attr:`polynomials`. Read-only: :meth:`append`
-    raises (copy into a plain ``PolynomialSet`` to modify).
+    first access to :attr:`polynomials`. Read-only: :meth:`append` and
+    :meth:`extend` raise (copy into a plain ``PolynomialSet`` to
+    modify).
     """
 
     def __init__(
@@ -521,10 +528,10 @@ class BufferBackedPolynomialSet(PolynomialSet):
         return multiset.to_polynomial_set().polynomials
 
     def append(self, polynomial):
-        raise TypeError(
-            "a loaded artifact's polynomial set is read-only; copy it with "
-            "PolynomialSet(list(...)) to modify"
-        )
+        raise TypeError(_READ_ONLY)
+
+    def extend(self, polynomials):
+        raise TypeError(_READ_ONLY)
 
     def __len__(self):
         return self._count_polynomials
@@ -613,25 +620,18 @@ def read_artifact(path, mmap=True):
 
 
 def read_compiled(path, mmap=True):
-    """The compiled evaluator of a container file (either kind), built
-    zero-copy over the map — the worker side of the file-backed
-    parallel path (see :meth:`CompiledPolynomialSet.__setstate__
+    """The compiled evaluator of a container file (either kind):
+    :func:`compiled_from_buffer` over the file's map, with the path in
+    its errors — the worker side of the file-backed parallel path (see
+    :meth:`CompiledPolynomialSet.__setstate__
     <repro.core.batch.CompiledPolynomialSet>`)."""
     buf = _load_buffer(path, mmap)
-    header, origin = _parse_container(buf)
-    if header.get("kind") not in ("compiled", "compressed_provenance"):
-        raise SerializeError(
-            f"{path}: expected a compiled container, got kind "
-            f"{header.get('kind')!r}"
-        )
-    arrays = _views(header, buf, origin)
     try:
-        return _compiled_from(
-            header["compiled"], arrays,
-            source=os.path.abspath(path) if mmap else None,
+        return compiled_from_buffer(
+            buf, source=os.path.abspath(path) if mmap else None
         )
-    except (KeyError, TypeError, IndexError) as error:
-        raise SerializeError(f"{path}: corrupt compiled container: {error}") from error
+    except SerializeError as error:
+        raise SerializeError(f"{path}: {error}") from error
 
 
 def compiled_from_buffer(buf, source=None):

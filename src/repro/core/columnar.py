@@ -164,33 +164,18 @@ class ColumnarMultiset:
     )
 
     def __init__(self, polynomial_set):
-        vids = []
-        exps = []
-        row_starts = [0]
-        poly_starts = [0]
-        coeffs = []
-        for polynomial in polynomial_set:
-            for coeff, monomial in polynomial:
-                coeffs.append(coeff)
-                for vid, exp in monomial.key:
-                    vids.append(vid)
-                    exps.append(exp)
-                row_starts.append(len(vids))
-            poly_starts.append(len(coeffs))
-        self.num_polynomials = len(polynomial_set)
-        self.num_monomials = len(coeffs)
-        self.vids = numpy.asarray(vids, dtype=numpy.intp)
-        self.exps = numpy.asarray(exps, dtype=numpy.int64)
-        self.row_starts = numpy.asarray(row_starts, dtype=numpy.intp)
-        self.poly_starts = numpy.asarray(poly_starts, dtype=numpy.intp)
-        self.row_poly = numpy.repeat(
-            numpy.arange(self.num_polynomials, dtype=numpy.intp),
-            numpy.diff(self.poly_starts),
-        )
+        self.num_polynomials = 0
+        self.num_monomials = 0
+        self.vids = numpy.zeros(0, dtype=numpy.intp)
+        self.exps = numpy.zeros(0, dtype=numpy.int64)
+        self.row_starts = numpy.zeros(1, dtype=numpy.intp)
+        self.poly_starts = numpy.zeros(1, dtype=numpy.intp)
+        self.row_poly = numpy.zeros(0, dtype=numpy.intp)
         #: Exact coefficients in row order (Python objects — Fractions
         #: and ints survive untouched; only counting uses the arrays).
-        self.coeffs = coeffs
+        self.coeffs = []
         self._factor_rows = None
+        self.extend(polynomial_set)
 
     @classmethod
     def from_arrays(cls, vids, exps, row_starts, poly_starts, coeffs):
@@ -218,14 +203,14 @@ class ColumnarMultiset:
         return self
 
     def extend(self, polynomials):
-        """Append the rows of ``polynomials`` in place (incremental path).
+        """Append the rows of ``polynomials`` in place.
 
-        The exact extraction loop of ``__init__`` run over the new
-        polynomials with the existing arrays as the offset base, so the
-        extended multiset is array-identical to a from-scratch build of
-        the concatenated set — the invariant the incremental artifact
-        pipeline (``ProvenanceSession.extend``) is pinned on. Callers
-        must append the same polynomials to the owning
+        The one extraction loop: a build is this append onto the empty
+        multiset, so a multiset extended by ``polynomials`` is
+        array-identical to a build of the concatenated set — the
+        invariant the incremental artifact pipeline
+        (``ProvenanceSession.extend``) is pinned on. Callers must append
+        the same polynomials to the owning
         :class:`~repro.core.polynomial.PolynomialSet` (done by
         :meth:`PolynomialSet.extend
         <repro.core.polynomial.PolynomialSet.extend>`).

@@ -19,6 +19,7 @@ from repro.api.artifact import CompressedProvenance
 from repro.api.session import ProvenanceSession
 from repro.core import binfmt, serialize
 from repro.core.forest import AbstractionForest, ValidVariableSet
+from repro.core.parser import parse_set
 from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
 from repro.core.serialize import SerializeError
 from repro.core.tree import AbstractionTree
@@ -319,6 +320,27 @@ class TestLazyMaterialization:
         loaded = CompressedProvenance.load(path)
         with pytest.raises(TypeError, match="read-only"):
             loaded.polynomials.append(Polynomial([]))
+
+    def test_extend_raises_and_changes_nothing(self, artifact, tmp_path):
+        """Extending a loaded set fails before anything changes —
+        directly or through a session built over it — so its counts and
+        answers stay those of the file."""
+        path = str(tmp_path / "a.rpb")
+        artifact.save(path)
+        loaded = CompressedProvenance.load(path)
+        polys = loaded.polynomials
+        scenarios = [{}, *probe_scenarios(artifact, count=3)]
+        before = [answer.values for answer in loaded.ask_many(scenarios)]
+        counts = (len(polys), polys.num_monomials)
+        with pytest.raises(TypeError, match="read-only"):
+            polys.extend(parse_set(["3*zz + 2"]))
+        with pytest.raises(TypeError, match="read-only"):
+            ProvenanceSession(polys, loaded.forest).extend(
+                parse_set(["3*zz + 2"]), loaded
+            )
+        assert (len(polys), polys.num_monomials) == counts
+        assert [answer.values for answer in loaded.ask_many(scenarios)] == before
+        assert len(loaded.ask({}).values) == counts[0]
 
     def test_views_are_read_only(self, artifact, tmp_path):
         path = str(tmp_path / "a.rpb")

@@ -252,19 +252,14 @@ class TestEngineSelection:
             "auto", mean_changes=oaat.mean_changes()
         ) == "delta"
 
-    def test_choose_engine_threshold(self):
-        assert choose_engine(1.0, 100) == "delta"
-        assert choose_engine(80.0, 100) == "dense"
-        assert choose_engine(0.0, 0) == "dense"
-
     def test_auto_counts_affected_monomials_not_variables(self):
         """20 changed variables of 288 sounds sparse, but with ~18.5
         monomials per variable it touches ~20% of the multiset — the
         fan-in-aware policy must pick dense for that shape (and delta
         once the change-set really is small)."""
         fan_in = {"mean_monomials_per_variable": 18.5, "num_monomials": 1781}
-        assert choose_engine(20.0, 288, **fan_in) == "dense"
-        assert choose_engine(1.0, 288, **fan_in) == "delta"
+        assert choose_engine(20.0, **fan_in) == "dense"
+        assert choose_engine(1.0, **fan_in) == "delta"
 
     def test_unknown_engine_rejected(self, workload):
         with pytest.raises(ValueError, match="unknown engine"):
