@@ -221,30 +221,29 @@ class _DeltaIndex:
             if col_parts
             else numpy.zeros(0, dtype=numpy.intp)
         )
-        from repro.core.columnar import gather_ranges, invert_index
+        from repro.core.columnar import invert_index
 
-        old_vars = len(self.col_starts) - 1
-        old_counts = numpy.diff(self.col_starts)
-        if num_variables > old_vars:
-            old_counts = numpy.concatenate(
-                [
-                    old_counts,
-                    numpy.zeros(num_variables - old_vars, dtype=numpy.intp),
-                ]
-            )
+        # The old CSR starts, padded to the grown alphabet. An old entry
+        # moves past the new entries of earlier columns, a new entry past
+        # the old entries of its own and earlier columns.
+        old_starts = numpy.full(
+            num_variables + 1, self.col_starts[-1], dtype=numpy.intp
+        )
+        old_starts[: len(self.col_starts)] = self.col_starts
         added_starts, order = invert_index(
             new_cols, num_variables, secondary=new_rows
         )
-        added_counts = numpy.diff(added_starts)
-        counts = old_counts + added_counts
-        starts = numpy.zeros(num_variables + 1, dtype=numpy.intp)
-        numpy.cumsum(counts, out=starts[1:])
-        col_rows = numpy.empty(int(counts.sum()), dtype=numpy.intp)
-        col_rows[gather_ranges(starts[:-1], old_counts)] = self.col_rows
-        col_rows[gather_ranges(starts[:-1] + old_counts, added_counts)] = (
-            new_rows[order]
-        )
-        for col in numpy.flatnonzero(added_counts).tolist():
+        starts = old_starts + added_starts
+        col_rows = numpy.empty(int(starts[-1]), dtype=numpy.intp)
+        col_rows[
+            numpy.arange(len(self.col_rows), dtype=numpy.intp)
+            + numpy.repeat(added_starts[:-1], numpy.diff(old_starts))
+        ] = self.col_rows
+        col_rows[
+            numpy.arange(len(new_rows), dtype=numpy.intp)
+            + numpy.repeat(old_starts[1:], numpy.diff(added_starts))
+        ] = new_rows[order]
+        for col in numpy.flatnonzero(numpy.diff(added_starts)).tolist():
             self.column_cache.pop(col, None)
         self.depths = depths
         self.pad_cols = pad_cols
@@ -295,7 +294,7 @@ class CompiledPolynomialSet:
         # The factor arrays come from the shared columnar view (one
         # extraction pass serves both the compression core and this
         # evaluator).
-        self._append(polynomial_set.columnar())
+        self._append(polynomial_set.columnar(), polynomial_set.variable_ids())
 
     def extend(self, polynomials):
         """Grow the compiled matrix by appended polynomials, in place.
@@ -312,10 +311,11 @@ class CompiledPolynomialSet:
 
         added = PolynomialSet(list(polynomials))
         if len(added):
-            self._append(added.columnar())
+            self._append(added.columnar(), added.variable_ids())
 
-    def _append(self, cm):
-        """Compile the rows of the columnar multiset ``cm`` onto the set.
+    def _append(self, cm, variable_ids):
+        """Compile the rows of the columnar multiset ``cm``, whose
+        variables are ``variable_ids``, onto the set.
 
         The appended monomials become trailing rows (old row indices —
         and the float summation order of every old polynomial — are
@@ -334,8 +334,8 @@ class CompiledPolynomialSet:
         batch answers — is identical however the polynomial was built
         (parsed, substituted, or deserialized).
         """
-        present = numpy.flatnonzero(numpy.bincount(cm.vids))
-        for vid in present.tolist():
+        present = sorted(variable_ids)
+        for vid in present:
             self._columns.setdefault(vid, len(self._columns))
         # At least one column so constant monomials have a x0^0 factor
         # to point at even in a variable-free multiset.
@@ -373,7 +373,7 @@ class CompiledPolynomialSet:
         flat_start = numpy.zeros(total, dtype=numpy.intp)
         flat_start[final_idx] = cm.row_starts[:-1]
         col_of = numpy.zeros(max(cm.max_vid(), -1) + 2, dtype=numpy.intp)
-        col_of[present] = [self._columns[vid] for vid in present.tolist()]
+        col_of[present] = [self._columns[vid] for vid in present]
         cols_flat = col_of[cm.vids]
 
         # Layer j: (monomial selector, columns, exponent fix-ups) over
