@@ -7,9 +7,12 @@ bit-identically against a direct in-process ``ask_many`` over the same
 scenarios. Then extends the artifact over HTTP
 (``POST /artifacts/{id}/extend``) and asks the *new* artifact id the
 same scenarios, verifying against an in-process repair-path
-``refresh`` — the live-artifact round trip. Also checks the error
-mapping (unknown artifact → 404) and that ``/healthz`` reports the
-traffic. Exits non-zero on any mismatch — the CI job gate.
+``refresh`` — the live-artifact round trip. Then creates and extends a
+second artifact from ``str()`` of float provenance whose coefficients
+print in exponent notation (``1.5e-05``), the text path, and verifies
+every answer the same way. Also checks the error mapping (unknown
+artifact → 404) and that ``/healthz`` reports the traffic. Exits
+non-zero on any mismatch — the CI job gate.
 
 Usage::
 
@@ -50,6 +53,27 @@ EXTEND_POLYNOMIALS = [
     "3*b1*m2 + 2*b2*m1",
     "b3*m2 + 4*b1*m1",
 ]
+
+#: Float provenance (coefficient, variables...) whose ``str()`` writes
+#: coefficients below 1e-4 or of 1e16 and up in exponent notation.
+FLOAT_POLYNOMIALS = [
+    [(1.5e-05, "b1", "m1"), (2.5e20, "b2", "m1"), (3.0, "b3", "m2")],
+    [(7e-07, "b1", "m2"), (1e16, "b2", "m2"), (0.25, "b3", "m1")],
+]
+FLOAT_EXTEND_POLYNOMIALS = [[(4.5e-06, "b1", "m2"), (1.25e17, "b2", "m1")]]
+
+
+def float_texts(rows):
+    """``str()`` of each row's polynomial — the text a client sends."""
+    from repro.core.polynomial import Monomial, Polynomial
+
+    return [
+        str(Polynomial.from_terms(
+            (coefficient, Monomial.of(*names))
+            for coefficient, *names in row
+        ))
+        for row in rows
+    ]
 
 
 def request(port, method, path, body=None):
@@ -106,14 +130,14 @@ def boot_server(spool, extra_args=(), env=None):
     raise SystemExit(f"server never reported its port (last line: {line!r})")
 
 
-def expected_answers(scenarios):
+def expected_answers(scenarios, polynomials, added):
     """In-process ground truth: answers before the extend and after an
     identical repair-path ``session.extend``."""
     from repro.api.session import ProvenanceSession
     from repro.core.parser import parse_set
 
     session = ProvenanceSession.from_strings(
-        POLYNOMIALS,
+        polynomials,
         forest=[(tree[0], tree[1]) for tree in FOREST],
     )
     artifact = session.compress(BOUND, algorithm="greedy")
@@ -121,9 +145,7 @@ def expected_answers(scenarios):
         answer.values
         for answer in artifact.ask_many([dict(s) for s in scenarios])
     ]
-    result = session.extend(
-        parse_set(EXTEND_POLYNOMIALS), artifact, drift_limit=10.0
-    )
+    result = session.extend(parse_set(added), artifact, drift_limit=10.0)
     assert result.path == "repaired", result.path
     after = [
         answer.values
@@ -132,12 +154,53 @@ def expected_answers(scenarios):
     return before, after
 
 
+def check_answers(port, artifact_id, scenarios, expected, what):
+    """Ask every scenario of ``artifact_id``; each answer must equal
+    ``expected`` bit for bit."""
+    for index, scenario in enumerate(scenarios):
+        status, body = request(
+            port, "POST", f"/artifacts/{artifact_id}/ask",
+            {"scenario": {"changes": scenario}},
+        )
+        assert status == 200, (status, body)
+        answer = tuple(body["answers"][0]["values"])
+        assert answer == expected[index], (
+            f"{what} answer diverged at scenario {index}"
+        )
+
+
+def create_and_extend(port, polynomials, added):
+    """Create an artifact from ``polynomials`` and extend it by
+    ``added`` over HTTP; returns ``(id, extended id)``."""
+    status, created = request(port, "POST", "/artifacts", {
+        "polynomials": polynomials,
+        "forest": FOREST,
+        "bound": BOUND,
+        "algorithm": "greedy",
+    })
+    assert status == 201, (status, created)
+    status, extended = request(
+        port, "POST", f"/artifacts/{created['id']}/extend",
+        {"polynomials": added, "drift_limit": 10.0},
+    )
+    assert status == 201, (status, extended)
+    assert extended["path"] == "repaired", extended
+    assert extended["revision"] == 1, extended
+    assert extended["id"] != created["id"], "extend must mint a new id"
+    return created["id"], extended["id"]
+
+
 def main():
     scenarios = [
         {"b1": 0.5 + 0.01 * index, "m1": 1.5 - 0.01 * index}
         for index in range(PROBE_REQUESTS)
     ]
-    expected, expected_extended = expected_answers(scenarios)
+    expected, expected_extended = expected_answers(
+        scenarios, POLYNOMIALS, EXTEND_POLYNOMIALS
+    )
+    float_polynomials = float_texts(FLOAT_POLYNOMIALS)
+    float_added = float_texts(FLOAT_EXTEND_POLYNOMIALS)
+    assert "e-05" in float_polynomials[0] and "e+17" in float_added[0]
 
     with tempfile.TemporaryDirectory() as spool:
         process, port = boot_server(spool)
@@ -210,16 +273,9 @@ def main():
             assert extended["revision"] == 1, extended
             extended_id = extended["id"]
             assert extended_id != artifact_id, "extend must mint a new id"
-            for index, scenario in enumerate(scenarios):
-                status, body = request(
-                    port, "POST", f"/artifacts/{extended_id}/ask",
-                    {"scenario": {"changes": scenario}},
-                )
-                assert status == 200, (status, body)
-                answer = tuple(body["answers"][0]["values"])
-                assert answer == expected_extended[index], (
-                    f"extended answer diverged at scenario {index}"
-                )
+            check_answers(
+                port, extended_id, scenarios, expected_extended, "extended"
+            )
             # The source artifact is immutable server-side: same id,
             # same answers as before the extend.
             status, body = request(
@@ -231,6 +287,23 @@ def main():
             print(
                 f"extend round trip OK: {extended_id[:16]}… at revision "
                 f"{extended['revision']}, {len(scenarios)} asks bit-identical"
+            )
+
+            # Text path: provenance sent as str() in exponent notation.
+            float_id, float_extended_id = create_and_extend(
+                port, float_polynomials, float_added
+            )
+            expected_float, expected_float_extended = expected_answers(
+                scenarios, float_polynomials, float_added
+            )
+            check_answers(port, float_id, scenarios, expected_float, "float")
+            check_answers(
+                port, float_extended_id, scenarios, expected_float_extended,
+                "float extended",
+            )
+            print(
+                f"text path OK: {float_polynomials[0]!r} created and "
+                f"extended, {2 * len(scenarios)} asks bit-identical"
             )
         finally:
             process.terminate()

@@ -1,21 +1,38 @@
-"""A small parser for the textual polynomial notation used in the paper.
+"""A term-at-a-time parser for the textual polynomial notation of the paper.
 
-Accepts expressions such as ``"220.8*p1*m1 + 240*p1*m3"`` or
-``"x^2*y - 3"``. The grammar (whitespace-insensitive)::
+Accepts expressions such as ``"220.8*p1*m1 + 240*p1*m3"``, ``"x^2*y - 3"``
+or ``"1e-05*x"``. The grammar (whitespace between tokens is ignored)::
 
     polynomial := ['+'|'-'] term (('+'|'-') term)*
     term       := factor ('*' factor)*
-    factor     := NUMBER | VARIABLE ['^' INTEGER]
+    factor     := NUMBER | VARIABLE ['^' DIGITS]
+    NUMBER     := (DIGITS ['.' DIGITS] | '.' DIGITS) [('e'|'E') ['+'|'-'] DIGITS]
+    VARIABLE   := [A-Za-z_][A-Za-z0-9_]*
 
-Variables are ``[A-Za-z_][A-Za-z0-9_]*``; numbers are ints or floats.
-Numbers multiply into the coefficient; repeated variables multiply
-exponents. ``parse`` is the inverse of ``str(Polynomial)`` up to term
-ordering and float formatting.
+A number with a ``.`` or an exponent is a float, any other an int. A
+term's coefficient is its sign times its numbers, multiplied left to
+right; repeated variables add exponents; like terms combine as in
+:class:`Polynomial`. So ``parse(str(p)) == p`` for int and finite float
+coefficients.
+
+One compiled pattern consumes a whole term per call: its sign, its
+leading numbers and its monomial text. :func:`parse_set` keeps one map
+from monomial text to :class:`Monomial` for the whole call, so each
+distinct monomial of a request is split, validated and interned once.
+Variables are interned by sorted name within a monomial, monomials in
+text order (``.rpb`` column order follows interning order).
+
+A :class:`ParseError` names the offset of the first character that does
+not fit the grammar (the term's, for an exponent that sums to 0) and,
+from :func:`parse_set`, the polynomial's index counting from 0::
+
+    polynomial 2: offset 4: unexpected '$ y'
 """
 
 import re
 
-from repro.core.polynomial import Monomial, Polynomial
+from repro.core.interning import VARIABLES
+from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
 from repro.errors import ReproError
 
 __all__ = ["parse", "parse_set", "ParseError"]
@@ -25,98 +42,71 @@ class ParseError(ReproError, ValueError):
     """Raised when a polynomial string cannot be parsed."""
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+\.\d+|\d+|\.\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^()])"
-    r")"
+_NUM = r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][-+]?\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_FACTOR = rf"(?:{_NUM}|{_NAME}(?:\s*\^\s*\d+)?)"
+_MONOMIAL = rf"{_NAME}(?:\s*\^\s*\d+)?(?:\s*\*\s*{_FACTOR})*"
+# Groups: sign, leading numbers, monomial text (from the first variable
+# on). A term must end at a sign or the end of the text; where none does,
+# the second branch consumes the longest prefix a term can start with, and
+# its empty group marks the character after it.
+_TERM = re.compile(
+    rf"\s*(?:([-+])\s*)?(?=[\d.A-Za-z_])({_NUM}(?:\s*\*\s*{_NUM})*)?"
+    rf"(?:(?(2)\s*\*\s*)({_MONOMIAL}))?\s*(?=[-+]|\Z)"
+    rf"|\s*(?:[-+]\s*)?(?:{_FACTOR}\s*\*\s*)*(?:{_NUM}|{_NAME}(?:\s*\^\s*\d*)?)?\s*()"
 )
+_FACTORS = re.compile(rf"({_NUM})|({_NAME})(?:\s*\^\s*(\d+))?")
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} at offset {pos}")
-        pos = match.end()
-        if match.group("number") is not None:
-            literal = match.group("number")
-            tokens.append(("number", float(literal) if "." in literal else int(literal)))
-        elif match.group("name") is not None:
-            tokens.append(("name", match.group("name")))
+def _number(literal):
+    return int(literal) if literal.isdecimal() else float(literal)
+
+
+def _monomial(text):
+    """``(Monomial, numbers)`` of one monomial text, numbers in text order."""
+    powers, numbers = {}, []
+    for number, name, exponent in _FACTORS.findall(text):
+        if name:
+            powers[name] = powers.get(name, 0) + (int(exponent) if exponent else 1)
         else:
-            tokens.append(("op", match.group("op")))
-    tokens.append(("end", None))
-    return tokens
+            numbers.append(_number(number))
+    key = []
+    for name, exponent in sorted(powers.items()):
+        if not exponent:
+            raise ValueError(f"exponent of {name!r} must be >= 1, got 0")
+        key.append((VARIABLES.intern(name), exponent))
+    return Monomial._from_key(tuple(sorted(key))), tuple(numbers)
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect_op(self, op):
-        kind, value = self.advance()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}, got {value!r}")
-
-    def parse_polynomial(self):
-        terms = []
-        sign = 1
-        kind, value = self.peek()
-        if kind == "op" and value in "+-":
-            self.advance()
-            sign = -1 if value == "-" else 1
-        terms.append(self.parse_term(sign))
-        while True:
-            kind, value = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                terms.append(self.parse_term(-1 if value == "-" else 1))
+def _parse(text, monomials, where=""):
+    terms = []
+    pos, end = 0, len(text)
+    while pos < end or not terms:
+        term = _TERM.match(text, pos)
+        sign, numbers, monomial, stop = term.groups()
+        pos = term.end()
+        if stop is not None:
+            found = repr(text[pos:pos + 20]) if pos < end else "end of text"
+            raise ParseError(f"{where}offset {pos}: unexpected {found}")
+        coefficient = -1 if sign == "-" else 1
+        try:
+            if numbers:
+                for literal in numbers.split("*"):
+                    coefficient *= _number(literal.strip())
+            if monomial is None:
+                monomial = Monomial.ONE
             else:
-                break
-        kind, value = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input starting at {value!r}")
-        return Polynomial.from_terms(terms)
-
-    def parse_term(self, sign):
-        coefficient = sign
-        powers = {}
-        while True:
-            kind, value = self.advance()
-            if kind == "number":
-                coefficient *= value
-            elif kind == "name":
-                exponent = 1
-                next_kind, next_value = self.peek()
-                if next_kind == "op" and next_value == "^":
-                    self.advance()
-                    exp_kind, exp_value = self.advance()
-                    if exp_kind != "number" or not isinstance(exp_value, int):
-                        raise ParseError("exponent must be a positive integer")
-                    exponent = exp_value
-                powers[value] = powers.get(value, 0) + exponent
-            else:
-                raise ParseError(f"expected number or variable, got {value!r}")
-            kind, value = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                continue
-            break
-        return coefficient, Monomial(powers.items())
+                entry = monomials.get(monomial)
+                if entry is None:
+                    entry = monomials[monomial] = _monomial(monomial)
+                monomial, extra = entry
+                for number in extra:
+                    coefficient *= number
+        except ValueError as error:  # exponent 0, or an int past str's digit limit
+            offset = term.start(2 if numbers else 3)
+            raise ParseError(f"{where}offset {offset}: {error}") from None
+        terms.append((monomial, coefficient))
+    return Polynomial(terms)
 
 
 def parse(text):
@@ -127,12 +117,22 @@ def parse(text):
     3
     >>> p.coefficient(Monomial.of(("x", 2), "y"))
     2
+    >>> parse("x + $ y")
+    Traceback (most recent call last):
+        ...
+    repro.core.parser.ParseError: offset 4: unexpected '$ y'
     """
-    return _Parser(_tokenize(text)).parse_polynomial()
+    return _parse(text, {})
 
 
 def parse_set(texts):
-    """Parse an iterable of polynomial strings into a PolynomialSet."""
-    from repro.core.polynomial import PolynomialSet
+    """Parse polynomial strings into a PolynomialSet, one cache for all.
 
-    return PolynomialSet(parse(text) for text in texts)
+    >>> parse_set(["x + y", "2*x", "x + $ y"])
+    Traceback (most recent call last):
+        ...
+    repro.core.parser.ParseError: polynomial 2: offset 4: unexpected '$ y'
+    """
+    cache = {}
+    texts = enumerate(texts)
+    return PolynomialSet(_parse(text, cache, f"polynomial {i}: ") for i, text in texts)

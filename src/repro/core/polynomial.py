@@ -511,7 +511,13 @@ class Polynomial:
         return " ".join(chunks)
 
     def __repr__(self):
-        return f"Polynomial.parse({str(self)!r})"
+        """``parse('…')``: evaluates back to ``self`` with :func:`repro.parse`
+        in scope, for int and finite float coefficients.
+
+        >>> Polynomial.from_terms([(2, Monomial.of("x")), (1e-05, Monomial.ONE)])
+        parse('1e-05 + 2*x')
+        """
+        return f"parse({str(self)!r})"
 
 
 class PolynomialSet:

@@ -250,6 +250,27 @@ class TestEndToEnd:
         assert asyncio.run(with_server(scenario)(tmp_path)) == [
             400, 400, 400, 400, 400, 405]
 
+    def test_unparseable_polynomial_is_400_naming_its_index(self, tmp_path):
+        async def scenario(server):
+            port = server.port
+            create = await asyncio.to_thread(
+                call, port, "POST", "/artifacts",
+                artifact_body(polynomials=[*POLYNOMIALS, "b1*m1 + $ b2"]))
+            _, created = await asyncio.to_thread(
+                call, port, "POST", "/artifacts", artifact_body())
+            extend = await asyncio.to_thread(
+                call, port, "POST", f"/artifacts/{created['id']}/extend",
+                {"polynomials": ["b1*m1", "2*b2*m2 +"]})
+            return create, extend
+
+        (create, created), (extend, extended) = asyncio.run(
+            with_server(scenario)(tmp_path))
+        assert (create, extend) == (400, 400)
+        assert created["error"]["message"] == (
+            "ParseError: polynomial 2: offset 8: unexpected '$ b2'")
+        assert extended["error"]["message"] == (
+            "ParseError: polynomial 1: offset 9: unexpected end of text")
+
     def test_healthz_reports_counters(self, tmp_path):
         async def scenario(server):
             port = server.port
