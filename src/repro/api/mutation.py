@@ -114,10 +114,13 @@ def _writable_polynomials(artifact: CompressedProvenance) -> PolynomialSet:
 
     Binary-loaded artifacts view read-only ``mmap`` buffers through a
     :class:`~repro.core.binfmt.BufferBackedPolynomialSet`, whose
-    ``append`` raises. Extending such an artifact routes through
-    copy-on-extend: the polynomials are materialized into a plain
-    (writable) :class:`PolynomialSet` first, with a one-time warning —
-    the derived caches rebuild lazily on the copy.
+    ``extend`` raises. Extending such an artifact routes through
+    copy-on-extend, with a one-time warning: the file's columnar arrays
+    (:meth:`BufferBackedPolynomialSet.columnar
+    <repro.core.binfmt.BufferBackedPolynomialSet.columnar>`) back a
+    plain, writable set, and no ``Polynomial`` object is built. The
+    loaded set keeps answering from its own compiled evaluator; the
+    copy compiles its own from the arrays when first asked or saved.
     """
     from repro.core.binfmt import BufferBackedPolynomialSet
 
@@ -128,15 +131,15 @@ def _writable_polynomials(artifact: CompressedProvenance) -> PolynomialSet:
     if not _WARNED_COPY_ON_EXTEND:
         _WARNED_COPY_ON_EXTEND = True
         warnings.warn(
-            "extending a binary-loaded artifact copies its polynomials "
-            "first (the mmap-backed set is read-only), so this mutation "
-            "pays one materialization + recompile; load with mmap=False "
-            "or keep a writable artifact around for repeated extends. "
-            "This warning is emitted once per process.",
+            "extending a binary-loaded artifact copies its polynomials' "
+            "arrays first (a loaded set is read-only), so this "
+            "mutation pays one array copy + recompile; keep the returned "
+            "(writable) artifact for repeated extends. This warning is "
+            "emitted once per process.",
             UserWarning,
             stacklevel=4,
         )
-    return PolynomialSet(list(polynomials))
+    return PolynomialSet.from_columnar(polynomials.columnar().copy())
 
 
 def _ensure_added(polynomials: PolynomialsLike) -> PolynomialSet:
@@ -234,7 +237,7 @@ def extend_artifact(
         original_granularity = artifact.original_granularity + new_variables
 
     base = _writable_polynomials(artifact)
-    base.extend(delta.polynomials)
+    base.extend(delta)
     variable_loss = original_granularity - base.num_variables
 
     from repro.api.artifact import CompressedProvenance

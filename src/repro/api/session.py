@@ -329,18 +329,17 @@ class ProvenanceSession:
         :raises CompatibilityError: when a monomial of ``polynomials``
             holds a meta-variable of the forest or two nodes of one tree.
         """
-        from repro.api.mutation import extend_artifact
+        from repro.api.mutation import _ensure_added, extend_artifact
 
-        if isinstance(polynomials, (Polynomial, PolynomialSet)):
-            added = ensure_set(polynomials)
-        else:
-            added = PolynomialSet(polynomials)
+        added = _ensure_added(polynomials)
         # Check the delta before the session grows: a rejected extend
-        # must leave the session as it was.
+        # must leave the session as it was. This extracts the delta's
+        # columnar view, the one extraction of the extend: it is cached
+        # on ``added`` and feeds the session's repair and the abstraction.
         added.columnar().tree_columns(artifact.forest)
         # Grow the session first (repairing its caches in place): the
         # recompress fallback must see the full extended provenance.
-        self.polynomials.extend(added.polynomials)
+        self.polynomials.extend(added)
         return extend_artifact(
             artifact,
             added,

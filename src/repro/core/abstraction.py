@@ -57,18 +57,20 @@ def abstract(polynomials, vvs):
     """Compute ``P↓S`` for a polynomial or a multiset of polynomials.
 
     A multiset abstracts by the vectorized id-remap + row-grouping
-    path of :class:`repro.core.columnar.ColumnarMultiset`, which sums
-    merged coefficients in canonical monomial order; a single
-    :class:`Polynomial` through :meth:`Polynomial.substitute
+    path of :meth:`ColumnarMultiset.substitute
+    <repro.core.columnar.ColumnarMultiset.substitute>`, arrays to
+    arrays: the result is a :class:`PolynomialSet` backed by the
+    abstracted multiset, whose ``Polynomial`` objects are built only
+    if it is iterated. A single :class:`Polynomial` abstracts through
+    :meth:`Polynomial.substitute
     <repro.core.polynomial.Polynomial.substitute>`.
     """
     if not isinstance(vvs, ValidVariableSet):
         raise TypeError(f"expected ValidVariableSet, got {type(vvs).__name__}")
     if isinstance(polynomials, PolynomialSet):
         id_mapping = VARIABLES.intern_mapping(vvs.mapping())
-        terms = polynomials.columnar().substitute(id_mapping)
-        return PolynomialSet(
-            Polynomial._raw(poly_terms) for poly_terms in terms
+        return PolynomialSet.from_columnar(
+            polynomials.columnar().substitute(id_mapping)
         )
     return polynomials.substitute(vvs.mapping())
 

@@ -291,31 +291,20 @@ class CompiledPolynomialSet:
         # Delta-engine structures are derived lazily (and locally after
         # unpickling) — dense-only users never build them.
         self._delta = None
-        # The factor arrays come from the shared columnar view (one
-        # extraction pass serves both the compression core and this
-        # evaluator).
-        self._append(polynomial_set.columnar(), polynomial_set.variable_ids())
+        self.extend(polynomial_set)
 
-    def extend(self, polynomials):
-        """Grow the compiled matrix by appended polynomials, in place.
+    def extend(self, polynomial_set):
+        """Compile the rows of ``polynomial_set`` onto the set, in place.
 
-        Compiles the appended polynomials' columnar view with
-        :meth:`_append`, the routine a build runs onto the empty set,
-        so an extended set evaluates bit-identically to a build of the
-        concatenated set — the contract the incremental-maintenance
-        property tests pin. The two differ at most in column numbering:
-        a build numbers the whole alphabet in id order, an extend gives
-        new variables trailing columns.
-        """
-        from repro.core.polynomial import PolynomialSet
-
-        added = PolynomialSet(list(polynomials))
-        if len(added):
-            self._append(added.columnar(), added.variable_ids())
-
-    def _append(self, cm, variable_ids):
-        """Compile the rows of the columnar multiset ``cm``, whose
-        variables are ``variable_ids``, onto the set.
+        The one build routine: ``__init__`` is this append onto the
+        empty set, so an extended set evaluates bit-identically to a
+        build of the concatenated set — the contract the
+        incremental-maintenance property tests pin. The two differ at
+        most in column numbering: a build numbers the whole alphabet in
+        id order, an extend gives new variables trailing columns. The
+        rows come from the set's cached columnar view, so one
+        extraction pass serves both the compression core and this
+        evaluator (and an abstracted set needs none).
 
         The appended monomials become trailing rows (old row indices —
         and the float summation order of every old polynomial — are
@@ -334,7 +323,8 @@ class CompiledPolynomialSet:
         batch answers — is identical however the polynomial was built
         (parsed, substituted, or deserialized).
         """
-        present = sorted(variable_ids)
+        cm = polynomial_set.columnar()
+        present = sorted(polynomial_set.variable_ids())
         for vid in present:
             self._columns.setdefault(vid, len(self._columns))
         # At least one column so constant monomials have a x0^0 factor

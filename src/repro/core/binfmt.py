@@ -458,18 +458,20 @@ class BufferBackedPolynomialSet(PolynomialSet):
 
     The compiled evaluator is built zero-copy over the container's
     buffers at load time, so answering scenarios never touches Python
-    monomial objects. The object graph — needed only for exact scalar
-    evaluation, equality, or re-serialization — materializes lazily on
-    first access to :attr:`polynomials`. Read-only: :meth:`append` and
-    :meth:`extend` raise (copy into a plain ``PolynomialSet`` to
-    modify).
+    monomial objects; counts and variables come from the header. The
+    columnar view (:meth:`columnar`) is read from the buffers on first
+    use, and the ``Polynomial`` objects — needed only for exact scalar
+    evaluation, equality, or JSON — are materialized from it on first
+    access to :attr:`polynomials`. Read-only: :meth:`append` and
+    :meth:`extend` raise (extending the artifact copies the columnar
+    view into a writable set — see :func:`repro.api.mutation.extend_artifact`).
     """
 
     def __init__(
         self, variables, counts, arrays, exact, compiled, mmap_active=False
     ):
-        # Parent slots, set directly: PolynomialSet.__init__ demands
-        # materialized Polynomial objects, which is what we're avoiding.
+        # Parent slots, set directly: nothing is extracted or built yet.
+        self._polynomials = None
         self._vids = None
         self._compiled = compiled
         self._columnar = None
@@ -478,28 +480,31 @@ class BufferBackedPolynomialSet(PolynomialSet):
         self._count_monomials = int(counts["monomials"])
         self._arrays = arrays
         self._exact = exact
-        self._materialized = None
         #: ``True`` when the buffers view an ``mmap`` of the container
         #: file (zero-copy; the file must outlive the set), ``False``
         #: when they view an eagerly-read bytes object.
         self.mmap_active = bool(mmap_active)
 
-    @property
-    def polynomials(self):
-        """The Polynomial list (materialized from the buffers on first
-        use, then cached)."""
-        materialized = self._materialized
-        if materialized is None:
-            materialized = self._materialize()
-            self._materialized = materialized
-        return materialized
+    def columnar(self):
+        """The container's CSR arrays in this process (read once, cached).
 
-    def _materialize(self):
+        Columns are re-interned, the factors of each row sorted by the
+        new ids (the interning order can differ from the writer's) and
+        the coefficients decoded through :func:`_decode_coeffs`: the
+        arrays an extraction of the materialized polynomials would
+        give, with no ``Polynomial`` built. Rows keep the file's order,
+        which is canonical: it sorts by variable name, not by id.
+        """
+        cm = self._columnar
+        if cm is not None:
+            return cm
         from repro.core.columnar import ColumnarMultiset
         from repro.core.interning import VARIABLES
 
         arrays = self._arrays
         cols = _get(arrays, "cm.vids")
+        exps = _get(arrays, "cm.exps")
+        row_starts = _get(arrays, "cm.row_starts")
         remap = numpy.asarray(
             [VARIABLES.intern(name) for name in self._file_variables] or [0],
             dtype=numpy.intp,
@@ -512,20 +517,25 @@ class BufferBackedPolynomialSet(PolynomialSet):
             raise SerializeError(
                 "column index out of range for the container's variables"
             ) from None
-        coeffs = _decode_coeffs(
-            _get(arrays, "cm.coeff_kind"),
-            _get(arrays, "cm.coeff_f64"),
-            _get(arrays, "cm.coeff_i64"),
-            self._exact,
+        rows = numpy.repeat(
+            numpy.arange(len(row_starts) - 1, dtype=numpy.intp),
+            numpy.diff(row_starts),
         )
-        multiset = ColumnarMultiset.from_arrays(
-            vids,
-            _get(arrays, "cm.exps"),
-            _get(arrays, "cm.row_starts"),
+        by_id = numpy.lexsort((vids, rows))
+        cm = ColumnarMultiset.from_arrays(
+            vids[by_id],
+            exps[by_id],
+            row_starts,
             _get(arrays, "cm.poly_starts"),
-            coeffs,
+            _decode_coeffs(
+                _get(arrays, "cm.coeff_kind"),
+                _get(arrays, "cm.coeff_f64"),
+                _get(arrays, "cm.coeff_i64"),
+                self._exact,
+            ),
         )
-        return multiset.to_polynomial_set().polynomials
+        self._columnar = cm
+        return cm
 
     def append(self, polynomial):
         raise TypeError(_READ_ONLY)

@@ -5,24 +5,25 @@ Every compression operation runs over these flat NumPy arrays:
 :class:`~repro.core.abstraction.LossIndex` (Algorithm 1's per-node
 losses) and the greedy working state (Algorithm 2). The batch
 evaluator (:class:`repro.core.batch.CompiledPolynomialSet`) compiles
-from the same arrays, so one extraction pass feeds both sides.
+from the same arrays, and abstraction maps arrays to arrays, so
+provenance is extracted from ``Polynomial`` objects once and an
+abstracted set reaches its ``.rpb`` without any.
 
 * :class:`ColumnarMultiset` — the monomial multiset as flat factor
   arrays: ``vids``/``exps`` hold every ``(variable id, exponent)``
   factor, ``row_starts`` delimits monomial rows, ``poly_starts``
   delimits polynomial runs. Rows are stored in each polynomial's
-  *canonical sorted monomial order* — the same order
-  ``CompiledPolynomialSet`` compiles, so the two representations share
-  one extraction pass (``PolynomialSet.columnar()`` caches the arrays
-  and the compiled evaluator is built *from* them).
+  *canonical sorted monomial order* — the order of
+  ``sorted(Polynomial.terms)``, which ``CompiledPolynomialSet``
+  compiles — and the factors of a row in id order (``Monomial.key``).
 * vectorized substitution: :meth:`ColumnarMultiset.substituted_counts`
   computes ``(|P↓S|_M, |P↓S|_V)`` and :meth:`ColumnarMultiset.substitute`
-  materializes ``P↓S`` via an id-remap gather, a per-row factor
-  sort/merge, and an ``np.unique``-style row grouping — no per-monomial
-  tuple rebuilds. Merged coefficients are summed in canonical row
-  order, so abstracting a subset of the polynomials (an extend's
-  delta) gives the same coefficients, bit for bit, as abstracting the
-  whole set.
+  builds ``P↓S`` as another multiset via an id-remap gather, a per-row
+  factor sort/merge, and one lexicographic row grouping that is also
+  the canonical order — no per-monomial tuple rebuilds. Merged
+  coefficients are summed in source row order, so abstracting a subset
+  of the polynomials (an extend's delta) gives the same coefficients,
+  bit for bit, as abstracting the whole set.
 * the §2.2 compatibility check the solvers run up front:
   :meth:`ColumnarMultiset.tree_columns`.
 * the shared CSR helpers the columnar algorithms are built on:
@@ -145,10 +146,11 @@ class ColumnarMultiset:
 
     Built once per :class:`~repro.core.polynomial.PolynomialSet` (and
     cached there — see :meth:`PolynomialSet.columnar
-    <repro.core.polynomial.PolynomialSet.columnar>`); rows run in each
-    polynomial's canonical sorted monomial order, the order the batch
-    evaluator compiles, so both columnar consumers share this single
-    extraction pass.
+    <repro.core.polynomial.PolynomialSet.columnar>`), either by
+    extracting ``Polynomial`` objects (``__init__``) or as the output of
+    :meth:`substitute`; rows run in each polynomial's canonical sorted
+    monomial order, the order the batch evaluator compiles, and no
+    polynomial holds two equal rows or a zero coefficient.
     """
 
     __slots__ = (
@@ -164,128 +166,120 @@ class ColumnarMultiset:
     )
 
     def __init__(self, polynomial_set):
-        self.num_polynomials = 0
-        self.num_monomials = 0
-        self.vids = numpy.zeros(0, dtype=numpy.intp)
-        self.exps = numpy.zeros(0, dtype=numpy.int64)
-        self.row_starts = numpy.zeros(1, dtype=numpy.intp)
-        self.poly_starts = numpy.zeros(1, dtype=numpy.intp)
-        self.row_poly = numpy.zeros(0, dtype=numpy.intp)
-        #: Exact coefficients in row order (Python objects — Fractions
-        #: and ints survive untouched; only counting uses the arrays).
-        self.coeffs = []
-        self._factor_rows = None
-        self.extend(polynomial_set)
+        """Extract the polynomials of ``polynomial_set`` into arrays.
 
-    @classmethod
-    def from_arrays(cls, vids, exps, row_starts, poly_starts, coeffs):
-        """Adopt prebuilt CSR factor arrays (the binary-envelope load path).
-
-        The arrays follow the layout documented on the class, except
-        that factors within a row need *not* be vid-sorted: a loaded
-        file's column ids were re-interned in this process, and the
-        interning order can differ from the writer's.
-        :meth:`to_polynomial_set` re-sorts per row where order matters.
-        """
-        self = object.__new__(cls)
-        self.vids = numpy.asarray(vids, dtype=numpy.intp)
-        self.exps = numpy.asarray(exps, dtype=numpy.int64)
-        self.row_starts = numpy.asarray(row_starts, dtype=numpy.intp)
-        self.poly_starts = numpy.asarray(poly_starts, dtype=numpy.intp)
-        self.num_polynomials = len(self.poly_starts) - 1
-        self.num_monomials = len(self.row_starts) - 1
-        self.row_poly = numpy.repeat(
-            numpy.arange(self.num_polynomials, dtype=numpy.intp),
-            numpy.diff(self.poly_starts),
-        )
-        self.coeffs = list(coeffs)
-        self._factor_rows = None
-        return self
-
-    def extend(self, polynomials):
-        """Append the rows of ``polynomials`` in place.
-
-        The one extraction loop: a build is this append onto the empty
-        multiset, so a multiset extended by ``polynomials`` is
-        array-identical to a build of the concatenated set — the
-        invariant the incremental artifact pipeline
-        (``ProvenanceSession.extend``) is pinned on. Callers must append
-        the same polynomials to the owning
-        :class:`~repro.core.polynomial.PolynomialSet` (done by
-        :meth:`PolynomialSet.extend
-        <repro.core.polynomial.PolynomialSet.extend>`).
+        The one extraction loop from ``Polynomial`` objects: every other
+        multiset is derived from arrays (:meth:`substitute`,
+        :meth:`extend`, :meth:`from_arrays`).
         """
         vids = []
         exps = []
-        row_starts = []
-        poly_starts = []
+        row_starts = [0]
+        poly_starts = [0]
+        #: Exact coefficients in row order (Python objects — Fractions
+        #: and ints survive untouched; only counting uses the arrays).
         coeffs = []
-        base_factors = len(self.vids)
-        base_rows = self.num_monomials
-        for polynomial in polynomials:
+        for polynomial in polynomial_set:
             for coeff, monomial in polynomial:
                 coeffs.append(coeff)
                 for vid, exp in monomial.key:
                     vids.append(vid)
                     exps.append(exp)
-                row_starts.append(base_factors + len(vids))
-            poly_starts.append(base_rows + len(coeffs))
-        added_polys = len(poly_starts)
-        if not added_polys:
+                row_starts.append(len(vids))
+            poly_starts.append(len(coeffs))
+        self._adopt(
+            numpy.asarray(vids, dtype=numpy.intp),
+            numpy.asarray(exps, dtype=numpy.int64),
+            numpy.asarray(row_starts, dtype=numpy.intp),
+            numpy.asarray(poly_starts, dtype=numpy.intp),
+            coeffs,
+        )
+
+    @classmethod
+    def from_arrays(cls, vids, exps, row_starts, poly_starts, coeffs):
+        """Adopt prebuilt CSR factor arrays in the layout of the class.
+
+        The arrays are taken as they are (read-only views too —
+        :meth:`extend` concatenates into fresh arrays); the coefficient
+        list is copied.
+        """
+        self = object.__new__(cls)
+        self._adopt(
+            numpy.asarray(vids, dtype=numpy.intp),
+            numpy.asarray(exps, dtype=numpy.int64),
+            numpy.asarray(row_starts, dtype=numpy.intp),
+            numpy.asarray(poly_starts, dtype=numpy.intp),
+            list(coeffs),
+        )
+        return self
+
+    def _adopt(self, vids, exps, row_starts, poly_starts, coeffs):
+        self.vids = vids
+        self.exps = exps
+        self.row_starts = row_starts
+        self.poly_starts = poly_starts
+        self.num_polynomials = len(poly_starts) - 1
+        self.num_monomials = len(row_starts) - 1
+        self.row_poly = numpy.repeat(
+            numpy.arange(self.num_polynomials, dtype=numpy.intp),
+            numpy.diff(poly_starts),
+        )
+        self.coeffs = coeffs
+        self._factor_rows = None
+
+    def copy(self):
+        """An independent copy: its own arrays (writable, whatever
+        buffers this one views) and its own coefficient list."""
+        return ColumnarMultiset.from_arrays(
+            self.vids.copy(), self.exps.copy(), self.row_starts.copy(),
+            self.poly_starts.copy(), self.coeffs,
+        )
+
+    def extend(self, other):
+        """Append the rows of the multiset ``other`` in place.
+
+        The one concatenation routine: polynomials never share rows, so
+        a multiset extended by ``other`` is array-identical to one
+        extracted from the concatenated polynomials — the invariant the
+        incremental artifact pipeline (``ProvenanceSession.extend``) is
+        pinned on. Callers must append the same polynomials to the
+        owning :class:`~repro.core.polynomial.PolynomialSet` (done by
+        :meth:`PolynomialSet.extend
+        <repro.core.polynomial.PolynomialSet.extend>`).
+        """
+        if not other.num_polynomials:
             return
-        self.vids = numpy.concatenate(
-            [self.vids, numpy.asarray(vids, dtype=numpy.intp)]
-        )
-        self.exps = numpy.concatenate(
-            [self.exps, numpy.asarray(exps, dtype=numpy.int64)]
-        )
         self.row_starts = numpy.concatenate(
-            [self.row_starts, numpy.asarray(row_starts, dtype=numpy.intp)]
+            [self.row_starts, other.row_starts[1:] + len(self.vids)]
         )
-        starts = numpy.empty(added_polys + 1, dtype=numpy.intp)
-        starts[0] = base_rows
-        starts[1:] = poly_starts
-        self.row_poly = numpy.concatenate(
-            [
-                self.row_poly,
-                numpy.repeat(
-                    numpy.arange(
-                        self.num_polynomials,
-                        self.num_polynomials + added_polys,
-                        dtype=numpy.intp,
-                    ),
-                    numpy.diff(starts),
-                ),
-            ]
-        )
+        self.vids = numpy.concatenate([self.vids, other.vids])
+        self.exps = numpy.concatenate([self.exps, other.exps])
         self.poly_starts = numpy.concatenate(
-            [self.poly_starts, starts[1:]]
+            [self.poly_starts, other.poly_starts[1:] + self.num_monomials]
         )
-        self.coeffs.extend(coeffs)
-        self.num_polynomials += added_polys
-        self.num_monomials += len(coeffs)
+        self.row_poly = numpy.concatenate(
+            [self.row_poly, other.row_poly + self.num_polynomials]
+        )
+        self.coeffs.extend(other.coeffs)
+        self.num_polynomials += other.num_polynomials
+        self.num_monomials += other.num_monomials
         self._factor_rows = None
 
     def to_polynomial_set(self):
-        """Materialize the multiset back into a ``PolynomialSet``.
+        """Materialize the multiset as a ``PolynomialSet`` of objects.
 
-        The inverse of ``__init__``: each row becomes a Monomial (keys
-        are vid-sorted here, one vectorized lexsort for the whole set,
-        so rows from :meth:`from_arrays` with re-interned ids come out
-        canonical), duplicate rows within a polynomial merge by summing
-        coefficients, and zero sums are dropped — exactly the
-        :class:`~repro.core.polynomial.Polynomial` constructor rules.
+        The inverse of ``__init__`` and the one path from arrays to
+        ``Polynomial`` objects: each row becomes a Monomial (built once
+        per distinct key) with its coefficient. Rows are canonical, so
+        no merging is needed.
         """
         from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
 
-        # Stable sort by (row, vid): rows keep their positions (the
-        # cumulative row lengths match row_starts), factors inside each
-        # row come out id-sorted — the canonical Monomial key order.
-        order = numpy.lexsort((self.vids, self.factor_rows()))
-        vid_list = self.vids[order].tolist()
-        exp_list = self.exps[order].tolist()
+        vid_list = self.vids.tolist()
+        exp_list = self.exps.tolist()
         starts = self.row_starts.tolist()
         poly_starts = self.poly_starts.tolist()
+        coeffs = self.coeffs
         cache = {}
         polynomials = []
         for p in range(self.num_polynomials):
@@ -295,13 +289,8 @@ class ColumnarMultiset:
                 key = tuple(zip(vid_list[lo:hi], exp_list[lo:hi], strict=True))
                 monomial = cache.get(key)
                 if monomial is None:
-                    monomial = Monomial._from_key(key)
-                    cache[key] = monomial
-                new = terms.get(monomial, 0) + self.coeffs[row]
-                if new == 0:
-                    terms.pop(monomial, None)
-                else:
-                    terms[monomial] = new
+                    monomial = cache[key] = Monomial._from_key(key)
+                terms[monomial] = coeffs[row]
             polynomials.append(Polynomial._raw(terms))
         return PolynomialSet(polynomials)
 
@@ -326,6 +315,10 @@ class ColumnarMultiset:
     def max_vid(self):
         """The largest variable id present (-1 for a variable-free set)."""
         return int(self.vids.max()) if self.vids.size else -1
+
+    def variable_ids(self):
+        """``V(P)`` as a frozenset of interned ids."""
+        return frozenset(numpy.unique(self.vids).tolist())
 
     def factor_positions(self):
         """Position of every factor within its row (0-based)."""
@@ -493,40 +486,62 @@ class ColumnarMultiset:
         return distinct, granularity
 
     def substitute(self, id_mapping):
-        """Materialize ``P↓S`` as a list of ``{Monomial: coeff}`` dicts.
+        """``P↓S`` as a new multiset, its rows in canonical order.
 
-        Monomial keys are built once per distinct target key.
-        Coefficients of merged monomials are summed in canonical row
+        Rows merged by the remap form one row whose coefficient is the
+        sum of theirs, added as exact Python objects in source row
         order — a polynomial's sums depend on its own rows only, so any
         subset of the set abstracts to the same coefficients bit for
         bit; zero sums are dropped, as in :meth:`Polynomial.substitute_ids
-        <repro.core.polynomial.Polynomial.substitute_ids>`.
+        <repro.core.polynomial.Polynomial.substitute_ids>`. Grouping
+        rows on ``[poly, (name rank, exponent)...]`` with the factors in
+        name order numbers the groups in canonical order — that of
+        ``sorted(Polynomial.terms)``, which compares name-sorted
+        ``(name, exponent)`` pairs, so the constant monomial comes
+        first and a monomial before any longer one it is a prefix of.
         """
-        from repro.core.polynomial import Monomial
-
         if self.num_monomials == 0:
-            return [{} for _ in range(self.num_polynomials)]
+            return ColumnarMultiset.from_arrays(
+                self.vids, self.exps, self.row_starts,
+                numpy.zeros(self.num_polynomials + 1, dtype=numpy.intp), [],
+            )
         m_rows, m_vids, m_exps, new_starts = self._merged_factors(id_mapping)
-        matrix = self._row_matrix(m_rows, m_vids, m_exps, new_starts)
-        ids, count = unique_row_ids(matrix)
-        # One representative row and one coefficient sum per group.
-        representative = numpy.full(count, self.num_monomials, dtype=numpy.intp)
-        numpy.minimum.at(
-            representative, ids, numpy.arange(self.num_monomials, dtype=numpy.intp)
+        present = numpy.unique(m_vids)
+        name = VARIABLES.name
+        by_name = numpy.argsort(
+            numpy.array([name(vid) for vid in present.tolist()], dtype=object),
+            kind="stable",
         )
+        rank_of = numpy.zeros(int(present[-1]) + 1 if len(present) else 0,
+                              dtype=numpy.int64)
+        rank_of[present[by_name]] = numpy.arange(len(present), dtype=numpy.int64)
+        ranks = rank_of[m_vids]
+        in_name_order = numpy.lexsort((ranks, m_rows))
+        matrix = self._row_matrix(
+            m_rows, ranks[in_name_order], m_exps[in_name_order], new_starts
+        )
+        ids, count = unique_row_ids(matrix)
         sums = [0] * count
         for group, coeff in zip(ids.tolist(), self.coeffs, strict=True):
             sums[group] += coeff
-        starts = new_starts.tolist()
-        vid_list = m_vids.tolist()
-        exp_list = m_exps.tolist()
-        group_poly = self.row_poly[representative]
-        terms = [{} for _ in range(self.num_polynomials)]
-        for group, row in enumerate(representative.tolist()):
-            coeff = sums[group]
-            if coeff == 0:
-                continue
-            lo, hi = starts[row], starts[row + 1]
-            key = tuple(zip(vid_list[lo:hi], exp_list[lo:hi], strict=True))
-            terms[group_poly[group]][Monomial._from_key(key)] = coeff
-        return terms
+        representative = numpy.empty(count, dtype=numpy.intp)
+        representative[ids] = numpy.arange(self.num_monomials, dtype=numpy.intp)
+        coeffs = [coeff for coeff in sums if coeff != 0]
+        if len(coeffs) < count:
+            representative = representative[
+                numpy.fromiter((coeff != 0 for coeff in sums), dtype=bool,
+                               count=count)
+            ]
+        lengths = numpy.diff(new_starts)[representative]
+        row_starts = numpy.zeros(len(coeffs) + 1, dtype=numpy.intp)
+        numpy.cumsum(lengths, out=row_starts[1:])
+        factors = gather_ranges(new_starts[representative], lengths)
+        poly_starts = numpy.zeros(self.num_polynomials + 1, dtype=numpy.intp)
+        numpy.cumsum(
+            numpy.bincount(self.row_poly[representative],
+                           minlength=self.num_polynomials),
+            out=poly_starts[1:],
+        )
+        return ColumnarMultiset.from_arrays(
+            m_vids[factors], m_exps[factors], row_starts, poly_starts, coeffs
+        )

@@ -23,10 +23,16 @@ Variables are interned by sorted name within a monomial, monomials in
 text order (``.rpb`` column order follows interning order).
 
 A :class:`ParseError` names the offset of the first character that does
-not fit the grammar (the term's, for an exponent that sums to 0) and,
-from :func:`parse_set`, the polynomial's index counting from 0::
+not fit the grammar (the term's, for an exponent that sums to 0 or a
+coefficient that is not finite) and, from :func:`parse_set`, the
+polynomial's index counting from 0::
 
     polynomial 2: offset 4: unexpected '$ y'
+
+A coefficient must be finite: a literal past the float range
+(``1e999``), a product (``1e200*1e200*x``) or a sum of like terms
+(``1e308*x + 1e308*x``) that overflows is an error at the term where the
+value overflowed, as is an int too large to meet a float.
 """
 
 import re
@@ -56,6 +62,7 @@ _TERM = re.compile(
     rf"|\s*(?:[-+]\s*)?(?:{_FACTOR}\s*\*\s*)*(?:{_NUM}|{_NAME}(?:\s*\^\s*\d*)?)?\s*()"
 )
 _FACTORS = re.compile(rf"({_NUM})|({_NAME})(?:\s*\^\s*(\d+))?")
+_INF = float("inf")
 
 
 def _number(literal):
@@ -102,11 +109,53 @@ def _parse(text, monomials, where=""):
                 monomial, extra = entry
                 for number in extra:
                     coefficient *= number
-        except ValueError as error:  # exponent 0, or an int past str's digit limit
+        except (ValueError, OverflowError) as error:
+            # Exponent 0, an int past str's digit limit, or one too large
+            # for a float it meets.
             offset = term.start(2 if numbers else 3)
             raise ParseError(f"{where}offset {offset}: {error}") from None
         terms.append((monomial, coefficient))
-    return Polynomial(terms)
+    try:
+        polynomial = Polynomial(terms)
+        total = sum(polynomial.terms.values())
+        if total - total == 0:  # every coefficient finite (inf/nan propagate)
+            return polynomial
+    except OverflowError:
+        pass
+    _check_finite(text, terms, where)
+    return polynomial
+
+
+def _check_finite(text, terms, where):
+    """Raise the :class:`ParseError` of the first term whose coefficient,
+    or the running sum of its like terms, is not a finite number.
+
+    The slow path behind :func:`_parse`'s one-sum test: it re-scans the
+    term offsets and adds like terms exactly as :class:`Polynomial`
+    does, so it raises precisely when that sum overflows or ends
+    non-finite.
+    """
+    sums = {}
+    pos = 0
+    for monomial, coefficient in terms:
+        term = _TERM.match(text, pos)
+        pos = term.end()
+        if coefficient == 0:
+            continue
+        try:
+            value = sums.get(monomial, 0) + coefficient
+            finite = -_INF < value < _INF
+        except OverflowError:
+            finite = False
+        if not finite:
+            offset = term.start(2 if term.group(2) else 3)
+            raise ParseError(
+                f"{where}offset {offset}: coefficient is not a finite number"
+            )
+        if value == 0:
+            sums.pop(monomial, None)
+        else:
+            sums[monomial] = value
 
 
 def parse(text):

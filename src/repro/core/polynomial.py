@@ -528,21 +528,51 @@ class PolynomialSet:
     is invalidated by :meth:`append` and *repaired* (not dropped) by
     :meth:`extend`, the streaming-provenance mutator.
 
+    A set is backed by ``Polynomial`` objects, by a columnar view
+    (:meth:`from_columnar` — what :func:`repro.core.abstraction.abstract`
+    returns), or both. A set backed by arrays answers ``len``, the
+    measures, :meth:`columnar` and :meth:`compiled` from them and builds
+    its ``Polynomial`` objects only when :attr:`polynomials` is first
+    read (iteration, indexing, equality), through
+    :meth:`ColumnarMultiset.to_polynomial_set
+    <repro.core.columnar.ColumnarMultiset.to_polynomial_set>`.
+
     >>> ps = PolynomialSet([Polynomial.variable("x"), Polynomial.variable("x")])
     >>> ps.num_monomials, ps.num_variables
     (2, 1)
     """
 
-    __slots__ = ("polynomials", "_vids", "_compiled", "_columnar")
+    __slots__ = ("_polynomials", "_vids", "_compiled", "_columnar")
 
     def __init__(self, polynomials=None):
-        self.polynomials = list(polynomials) if polynomials else []
-        for p in self.polynomials:
+        self._polynomials = list(polynomials) if polynomials else []
+        for p in self._polynomials:
             if not isinstance(p, Polynomial):
                 raise TypeError(f"expected Polynomial, got {type(p).__name__}")
         self._vids = None
         self._compiled = None
         self._columnar = None
+
+    @classmethod
+    def from_columnar(cls, columnar):
+        """A set backed by the :class:`~repro.core.columnar.ColumnarMultiset`
+        ``columnar`` (adopted, not copied), its objects built on demand."""
+        self = cls.__new__(cls)
+        self._polynomials = None
+        self._vids = None
+        self._compiled = None
+        self._columnar = columnar
+        return self
+
+    @property
+    def polynomials(self):
+        """The ``Polynomial`` list (materialized from the columnar view
+        on first use for a set backed by arrays)."""
+        polynomials = self._polynomials
+        if polynomials is None:
+            polynomials = self.columnar().to_polynomial_set().polynomials
+            self._polynomials = polynomials
+        return polynomials
 
     def append(self, polynomial):
         """Add one polynomial to the multiset."""
@@ -554,35 +584,34 @@ class PolynomialSet:
         self._columnar = None
 
     def extend(self, polynomials):
-        """Append many polynomials, *repairing* the caches in place.
+        """Append a set's polynomials, *repairing* the caches in place.
 
-        The incremental counterpart of :meth:`append`: instead of
-        dropping the cached variable union, columnar view and compiled
-        evaluator, each one (when already built) is extended by exactly
-        the appended polynomials —
-        :meth:`ColumnarMultiset.extend
-        <repro.core.columnar.ColumnarMultiset.extend>` appends factor
-        rows to the CSR arrays and
+        The incremental counterpart of :meth:`append`. ``polynomials``
+        is a :class:`PolynomialSet` (any other iterable of polynomials
+        is wrapped in one). Its columnar view — extracted once and
+        cached on it, or already there for an abstracted set — feeds
+        both repairs: :meth:`ColumnarMultiset.extend
+        <repro.core.columnar.ColumnarMultiset.extend>` concatenates its
+        rows onto the cached columnar view and
         :meth:`CompiledPolynomialSet.extend
-        <repro.core.batch.CompiledPolynomialSet.extend>` grows the batch
-        matrix by trailing rows/layers. Unbuilt caches stay unbuilt.
+        <repro.core.batch.CompiledPolynomialSet.extend>` compiles them
+        onto the batch matrix as trailing rows/layers. The variable
+        union is repaired the same way; unbuilt caches stay unbuilt,
+        and ``Polynomial`` objects are appended only to a set that has
+        them already.
         """
-        added = list(polynomials)
-        for p in added:
-            if not isinstance(p, Polynomial):
-                raise TypeError(
-                    f"expected Polynomial, got {type(p).__name__}"
-                )
-        if not added:
+        added = (
+            polynomials if isinstance(polynomials, PolynomialSet)
+            else PolynomialSet(polynomials)
+        )
+        if not len(added):
             return
-        self.polynomials.extend(added)
+        if self._polynomials is not None:
+            self._polynomials.extend(added.polynomials)
         if self._vids is not None:
-            out = set(self._vids)
-            for p in added:
-                out.update(p.variable_ids())
-            self._vids = frozenset(out)
+            self._vids = self._vids | added.variable_ids()
         if self._columnar is not None:
-            self._columnar.extend(added)
+            self._columnar.extend(added.columnar())
         if self._compiled is not None:
             self._compiled.extend(added)
 
@@ -593,16 +622,21 @@ class PolynomialSet:
     @property
     def num_monomials(self):
         """``|P|_M`` summed over the multiset."""
-        return sum(p.num_monomials for p in self.polynomials)
+        if self._columnar is not None:
+            return self._columnar.num_monomials
+        return sum(p.num_monomials for p in self._polynomials)
 
     def variable_ids(self):
         """``V(P)`` as interned ids (cached until :meth:`append`)."""
         vids = self._vids
         if vids is None:
-            out = set()
-            for p in self.polynomials:
-                out.update(p.variable_ids())
-            vids = frozenset(out)
+            if self._columnar is not None:
+                vids = self._columnar.variable_ids()
+            else:
+                out = set()
+                for p in self._polynomials:
+                    out.update(p.variable_ids())
+                vids = frozenset(out)
             self._vids = vids
         return vids
 
@@ -632,7 +666,7 @@ class PolynomialSet:
         The substrate of the vectorized compression core — see
         :class:`repro.core.columnar.ColumnarMultiset`. The batch
         evaluator is compiled from these arrays, so building both costs
-        one extraction pass.
+        at most one extraction pass (none for a set built from arrays).
         """
         columnar = self._columnar
         if columnar is None:
@@ -683,7 +717,9 @@ class PolynomialSet:
         return iter(self.polynomials)
 
     def __len__(self):
-        return len(self.polynomials)
+        if self._polynomials is None:
+            return self._columnar.num_polynomials
+        return len(self._polynomials)
 
     def __getitem__(self, index):
         return self.polynomials[index]

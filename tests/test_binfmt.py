@@ -9,6 +9,10 @@ sidecars (Fractions, big ints), and anything malformed raises a clear
 
 import os
 import pickle
+import subprocess
+import sys
+import uuid
+import warnings
 from fractions import Fraction
 
 import numpy
@@ -17,12 +21,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.artifact import CompressedProvenance
 from repro.api.session import ProvenanceSession
+from repro.api.mutation import _writable_polynomials
 from repro.core import binfmt, serialize
+from repro.core.columnar import ColumnarMultiset
 from repro.core.forest import AbstractionForest, ValidVariableSet
+from repro.core.interning import VARIABLES
 from repro.core.parser import parse_set
 from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
 from repro.core.serialize import SerializeError
 from repro.core.tree import AbstractionTree
+from test_columnar import assert_same_arrays
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def make_artifact(polynomials):
@@ -309,9 +319,9 @@ class TestLazyMaterialization:
         assert len(polys) == len(artifact.polynomials)
         assert polys.num_monomials == artifact.polynomials.num_monomials
         assert polys.variables == artifact.polynomials.variables
-        assert polys._materialized is None  # still lazy after all that
+        assert polys._polynomials is None  # still lazy after all that
         assert polys.polynomials  # force it
-        assert polys._materialized is not None
+        assert polys._polynomials is not None
         assert polys == artifact.polynomials
 
     def test_append_raises(self, artifact, tmp_path):
@@ -348,6 +358,128 @@ class TestLazyMaterialization:
         compiled = CompressedProvenance.load(path).polynomials.compiled()
         with pytest.raises(ValueError):
             compiled._coeffs[0] = 1.0
+
+
+#: Compresses an artifact in a fresh process that interns the variables
+#: in reverse name order and saves it as ``.rpb`` and as JSON, whose
+#: loader builds every monomial from names (argv: ``.rpb`` path, tag).
+_FOREIGN_WRITER = """
+import sys
+from fractions import Fraction
+from repro.api.session import ProvenanceSession
+from repro.core.interning import VARIABLES
+from repro.core.parser import parse_set
+from repro.core.polynomial import Monomial, Polynomial
+
+path, tag = sys.argv[1:]
+b1, b2, b3, m1, m2, x = (f"{n}_{tag}" for n in ("b1", "b2", "b3", "m1", "m2", "x"))
+for name in sorted((b1, b2, b3, m1, m2, x), reverse=True):
+    VARIABLES.intern(name)
+polys = parse_set([
+    f"2*{b1}*{m1}*{x} + 3.5*{b2}*{m1}*{x} + 1.25*{b3}*{m2} + 7",
+    f"123456789012345678901234567890*{b1}*{x}^2 + {b2}*{x}^2 + 4*{m2}",
+    f"0.5*{b3}*{m1} + {x}",
+])
+polys.append(Polynomial.from_terms([
+    (Fraction(1, 3), Monomial.of(b1, m2)), (Fraction(2, 3), Monomial.of(b2, m2)),
+]))
+forest = [(f"SB_{tag}", [b1, b2, b3]), (f"M_{tag}", [m1, m2])]
+artifact = ProvenanceSession(polys, forest).compress(3, algorithm="greedy")
+artifact.save(path)
+artifact.save(path[:-len(".rpb")] + ".json")
+"""
+
+
+def load_json_twin(path):
+    return CompressedProvenance.load(path[:-len(".rpb")] + ".json", mmap=False)
+
+
+class TestForeignCopyOnExtend:
+    """Copy-on-extend of a ``.rpb`` written by a process that interned
+    its variables in another order: the copied arrays are those of the
+    materialized objects, and the extended artifact saves to the bytes
+    of the object path."""
+
+    @pytest.fixture
+    def foreign(self, tmp_path):
+        tag = uuid.uuid4().hex[:8]
+        path = str(tmp_path / "foreign.rpb")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run(
+            [sys.executable, "-c", _FOREIGN_WRITER, path, tag],
+            env=env, check=True,
+        )
+        names = [
+            f"{n}_{tag}" for n in ("M", "SB", "b1", "b2", "b3", "m1", "m2", "x")
+        ]
+        for name in names:  # this process interns them in name order
+            VARIABLES.intern(name)
+        return path, tag
+
+    def test_copied_arrays_equal_extraction(self, foreign):
+        path, _ = foreign
+        loaded = CompressedProvenance.load(path)
+        file_ids = [
+            VARIABLES.lookup(name)
+            for name in loaded.polynomials._file_variables
+        ]
+        assert file_ids != sorted(file_ids)  # rows must be re-sorted
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            copied = _writable_polynomials(loaded).columnar()
+        assert loaded.polynomials._polynomials is None
+        materialized = list(CompressedProvenance.load(path).polynomials)
+        from_names = list(load_json_twin(path).polynomials)
+        assert materialized == from_names
+        for polynomials in (materialized, from_names):
+            extracted = ColumnarMultiset(PolynomialSet(polynomials))
+            assert_same_arrays(copied, extracted)
+            assert_same_arrays(loaded.polynomials.columnar(), extracted)
+
+    def test_extended_bytes_equal_the_object_path(self, foreign, tmp_path):
+        path, tag = foreign
+        delta = parse_set([
+            f"4*b1_{tag}*m2_{tag} + 2*y_{tag}",
+            f"b3_{tag}*x_{tag}^2 + 0.25*b2_{tag}*x_{tag}^2",
+        ])
+        loaded = CompressedProvenance.load(path)
+
+        def with_objects(polynomials):
+            return CompressedProvenance(
+                PolynomialSet(list(polynomials)),
+                loaded.forest, loaded.vvs, algorithm=loaded.algorithm,
+                bound=loaded.bound, original_size=loaded.original_size,
+                original_granularity=loaded.original_granularity,
+                monomial_loss=loaded.monomial_loss,
+                variable_loss=loaded.variable_loss,
+            )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            via_arrays = loaded.refresh(delta, drift_limit=float("inf"))
+            # The loaded artifact is left as it was: extending it again
+            # (as the service does from one stored id) gives the same.
+            again = loaded.refresh(delta, drift_limit=float("inf"))
+        results = {
+            "arrays": via_arrays,
+            "again": again,
+            "objects": with_objects(
+                CompressedProvenance.load(path).polynomials
+            ).refresh(delta, drift_limit=float("inf")),
+            "names": with_objects(
+                load_json_twin(path).polynomials
+            ).refresh(delta, drift_limit=float("inf")),
+        }
+        assert loaded.polynomials._polynomials is None
+        contents = set()
+        for name, result in results.items():
+            assert result.path == "repaired"
+            saved = result.artifact.save(str(tmp_path / f"{name}.rpb"))
+            with open(saved, "rb") as handle:
+                contents.add(handle.read())
+        assert len(contents) == 1
+        assert via_arrays.artifact == results["names"].artifact
 
 
 class TestCompiledTransport:

@@ -19,6 +19,7 @@ import pickle
 import uuid
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -28,8 +29,11 @@ from repro.algorithms.greedy import greedy_vvs
 from repro.algorithms.optimal import optimal_vvs
 from repro.algorithms.result import InfeasibleBoundError
 from repro.core.abstraction import LossIndex, abstract, abstract_counts, losses
-from repro.core.columnar import gather_ranges, invert_index, unique_row_ids
+from repro.core.columnar import (
+    ColumnarMultiset, gather_ranges, invert_index, unique_row_ids,
+)
 from repro.core.forest import AbstractionForest, CompatibilityError
+from repro.core.interning import VARIABLES
 from repro.core.parser import parse_set
 from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
 from repro.core.tree import AbstractionTree
@@ -361,6 +365,107 @@ class TestAbstractMaterialization:
                 plain([abstract(polynomial, vvs)]),
                 oracle.abstract(plain([polynomial]), vvs.mapping()),
             )
+
+
+def assert_same_arrays(actual, expected):
+    """Two multisets array for array; coefficients equal in value and type."""
+    assert (actual.num_polynomials, actual.num_monomials) == (
+        expected.num_polynomials, expected.num_monomials
+    )
+    for name in ("vids", "exps", "row_starts", "row_poly", "poly_starts"):
+        numpy.testing.assert_array_equal(
+            getattr(actual, name), getattr(expected, name), err_msg=name
+        )
+    assert [(type(c), c) for c in actual.coeffs] == [
+        (type(c), c) for c in expected.coeffs
+    ]
+
+
+#: Names interned in reverse name order (at import, before any test can
+#: intern them), so a row's factors in id order are not in name order.
+REVERSED_NAMES = [f"zr{letter}" for letter in "abcdefgh"]
+for _name in reversed(REVERSED_NAMES):
+    VARIABLES.intern(_name)
+
+
+@st.composite
+def reversed_instances(draw, families=tuple(COEFFICIENTS)):
+    """``(polynomials, vvs)`` over :data:`REVERSED_NAMES`: one tree over
+    five leaves, whose fresh meta-variables sort before or after them by
+    name, and three free variables."""
+    coeffs = COEFFICIENTS[draw(st.sampled_from(families))]
+    leaves, free = REVERSED_NAMES[:5], REVERSED_NAMES[5:]
+    monomial = st.builds(
+        lambda leaf, others: Monomial([*leaf, *others.items()]),
+        st.sampled_from([[]] + [[(leaf, 1)] for leaf in leaves]
+                        + [[(leaf, 2)] for leaf in leaves]),
+        st.dictionaries(st.sampled_from(free), st.integers(1, 2), max_size=3),
+    )
+    body = draw(st.lists(st.dictionaries(monomial, coeffs, max_size=8),
+                         max_size=4))
+    polys = PolynomialSet(Polynomial(terms) for terms in body)
+    inner, outer = draw(st.permutations(["a_zr", "zz_zr"]))
+    forest = AbstractionForest([AbstractionTree.from_nested(
+        (outer, [(inner, leaves[:3]), *leaves[3:]])
+    )])
+    cut = draw(st.sampled_from(oracle.forest_cuts(specs(forest))))
+    return polys, forest.vvs(cut)
+
+
+class TestAbstractArrays:
+    """``abstract`` maps arrays to arrays: the multiset it returns must be
+    the one extracted from the ``Polynomial`` objects it materializes —
+    canonical row order, id-sorted factors, coefficient values and
+    types — so the ``.rpb`` and the compiled evaluator built from it
+    are those of the object path."""
+
+    @staticmethod
+    def check(polys, vvs):
+        abstracted = abstract(polys, vvs)
+        assert abstracted._polynomials is None  # nothing built yet
+        objects = PolynomialSet(list(abstracted))
+        assert_same_arrays(abstracted.columnar(), ColumnarMultiset(objects))
+        assert abstracted.variable_ids() == objects.variable_ids()
+        assert len(abstracted) == len(objects) == len(polys)
+        assert abstracted.num_monomials == objects.num_monomials
+        return abstracted
+
+    @settings(deadline=None, max_examples=60)
+    @given(compatible_instances(), st.data())
+    def test_every_family(self, instance, data):
+        polys, forest = instance
+        cut = data.draw(st.sampled_from(oracle.forest_cuts(specs(forest))))
+        self.check(polys, forest.vvs(cut))
+
+    @settings(deadline=None, max_examples=60)
+    @given(reversed_instances())
+    def test_interning_order_other_than_name_order(self, instance):
+        self.check(*instance)
+
+    @settings(deadline=None, max_examples=60)
+    @given(polynomial_sets(), one_level_cuts())
+    def test_cancellation_empty_and_constant_polynomials(self, polys, vvs):
+        """Int coefficients cancel; parents may already occur."""
+        self.check(polys, vvs)
+
+    @settings(deadline=None, max_examples=40)
+    @given(reversed_instances(families=EXACT_FAMILIES))
+    def test_exact_families_equal_the_object_substitution(self, instance):
+        """Exact sums do not depend on their order, so the multiset also
+        equals the extraction of ``Polynomial.substitute``'s objects."""
+        polys, vvs = instance
+        assert_same_arrays(
+            self.check(polys, vvs).columnar(),
+            ColumnarMultiset(polys.substitute(vvs.mapping())),
+        )
+
+    def test_zero_sums_and_constants(self):
+        polys = parse_set(["2*a*x - 2*b*x + c", "0", "5", "a*y - b*y + 3"])
+        forest = AbstractionForest([
+            AbstractionTree.from_nested(("g", ["a", "b"]))
+        ])
+        abstracted = self.check(polys, forest.root_vvs())
+        assert [str(p) for p in abstracted] == ["c", "0", "5", "3"]
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ class TestColumnarExtend:
     )
     def test_extend_is_array_identical_to_fresh_build(self, base, delta):
         extended = base.columnar()
-        extended.extend(delta.polynomials)
+        extended.extend(delta.columnar())
         fresh = PolynomialSet(
             base.polynomials + delta.polynomials
         ).columnar()
@@ -428,6 +428,94 @@ class TestCopyOnExtend:
 
         # The spooled container is untouched by either mutation.
         assert CompressedProvenance.load(path, mmap=False) == artifact
+
+
+# ---------------------------------------------------------------------------
+# Arrays from the cut to the .rpb: no object round trip
+# ---------------------------------------------------------------------------
+
+
+def example13_session():
+    from repro.workloads.telephony import (
+        example13_polynomials, months_tree, plans_tree,
+    )
+
+    return ProvenanceSession(
+        example13_polynomials(), [plans_tree(), months_tree()]
+    )
+
+
+EXAMPLE13_DELTA = ["2*b1*m1 + 3.5*p1*m3", "7*e*m2"]
+
+
+class TestObjectFree:
+    def test_fresh_artifact_never_builds_polynomials(self, tmp_path,
+                                                     monkeypatch):
+        """Compress, save, stats, asks under both engines, a repaired
+        extend and a second save run on arrays alone; only iterating the
+        polynomials builds objects, through ``to_polynomial_set``."""
+        from repro.core.columnar import ColumnarMultiset
+        from repro.core.parser import parse_set
+
+        calls = []
+
+        def refuse(self):
+            calls.append(self.num_polynomials)
+            raise AssertionError("materialized a Polynomial set")
+
+        real = ColumnarMultiset.to_polynomial_set
+        monkeypatch.setattr(ColumnarMultiset, "to_polynomial_set", refuse)
+        session = example13_session()
+        artifact = session.compress(bound=4)
+        artifact.save(str(tmp_path / "fresh.rpb"))
+        stats = artifact.stats()
+        assert stats["abstracted_size"] == 3
+        scenarios = [{"m1": 0.8}, {"b1": 0.5, "e": 2.0}, {}]
+        for engine in ("dense", "delta"):
+            artifact.ask_many(scenarios, options=EvalOptions(engine=engine))
+        result = session.extend(parse_set(EXAMPLE13_DELTA), artifact,
+                                drift_limit=float("inf"))
+        assert result.path == "repaired"
+        extended = result.artifact
+        extended.save(str(tmp_path / "extended.rpb"))
+        assert extended.stats()["polynomials"] == 4
+        assert calls == []
+        with pytest.raises(AssertionError, match="materialized"):
+            list(extended.polynomials)
+        assert calls == [4]
+        monkeypatch.setattr(ColumnarMultiset, "to_polynomial_set", real)
+        assert extended.polynomials == abstract(
+            session.polynomials, extended.vvs
+        )
+
+    def test_one_extraction_per_repaired_extend(self, monkeypatch):
+        """A repaired ``session.extend`` extracts its raw delta once:
+        that cached view feeds the §2.2 check, the session's columnar
+        and compiled repairs and the abstraction, whose output feeds the
+        artifact's repairs."""
+        from repro.core.columnar import ColumnarMultiset
+        from repro.core.parser import parse_set
+
+        session = example13_session()
+        artifact = session.compress(bound=4)
+        for polynomials in (session.polynomials, artifact.polynomials):
+            polynomials.columnar()
+            polynomials.compiled()
+        delta = parse_set(EXAMPLE13_DELTA)
+        assert delta.num_monomials == 3
+        extracted = []
+        real = ColumnarMultiset.__init__
+
+        def counting(self, polynomial_set):
+            real(self, polynomial_set)
+            extracted.append(self.num_monomials)
+
+        monkeypatch.setattr(ColumnarMultiset, "__init__", counting)
+        result = session.extend(delta, artifact, drift_limit=float("inf"))
+        assert result.path == "repaired"
+        assert extracted == [3]
+        assert session.polynomials._compiled is not None
+        assert result.artifact.polynomials._compiled is not None
 
 
 # ---------------------------------------------------------------------------

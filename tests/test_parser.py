@@ -145,15 +145,26 @@ def spelled(parsed):
 
 def outcome(parser, text):
     """``spelled`` of the parse, or ``REJECTED``. The reference may fail
-    with any ``ValueError``; the parser under test only with ParseError."""
+    with any ``ValueError`` (or an ``OverflowError`` where a big int
+    meets a float); the parser under test only with ParseError. A
+    reference result holding a coefficient that is not finite counts as
+    rejected too: the parser under test refuses those, the reference
+    predates that check."""
+    ours = parser in (parse, parse_set)
     try:
-        return spelled(parser(text))
+        parsed = parser(text)
     except ParseError:
         return REJECTED
-    except ValueError:
-        if parser in (parse, parse_set):
+    except (ValueError, OverflowError):
+        if ours:
             raise
         return REJECTED
+    polynomials = parsed.polynomials if isinstance(parsed, PolynomialSet) else [parsed]
+    if not ours and not all(
+        -math.inf < c < math.inf for p in polynomials for c in p.terms.values()
+    ):
+        return REJECTED
+    return spelled(parsed)
 
 
 def written_out(literal):
@@ -386,6 +397,62 @@ class TestErrorMessages:
         ):
             parse("x + y^0")
         assert parse("x^0*x") == parse("x")  # exponents add before the check
+
+
+class TestNonFiniteCoefficients:
+    """A coefficient that is not a finite number is an error at the term
+    where the value overflowed — the literal's, the product's, or the
+    like term whose sum overflowed."""
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("1e999*x", 0), ("1e200*1e200*x", 0), ("x*1e999", 0),
+         ("1e308*x + 1e308*x", 10), ("y + 1e308*x + 2*y + 1e308*x", 20),
+         ("-1e999*x + 1e999*x", 1), ("1e999*0*x", 0), ("2 - 1e999", 4),
+         ("1e308*x - 1e308*x + 1e999*x", 20)],
+    )
+    def test_overflow_names_its_term(self, text, offset):
+        with pytest.raises(
+            ParseError,
+            match=rf"^offset {offset}: coefficient is not a finite number$",
+        ):
+            parse(text)
+
+    def test_parse_set_names_the_polynomial_index(self):
+        with pytest.raises(
+            ParseError,
+            match=r"^polynomial 1: offset 10: coefficient is not a finite",
+        ):
+            parse_set(["x", "2*b2*m1 + 1e999*b1*m1"])
+
+    def test_int_too_large_for_a_float(self):
+        big = "1" + "0" * 400
+        with pytest.raises(ParseError, match="^offset 0: int too large"):
+            parse(f"{big}*1.5*x")
+        with pytest.raises(ParseError, match="^offset 406: coefficient"):
+            parse(f"{big}*x + 1.5*x")
+
+    def test_finite_values_near_the_limit_still_parse(self):
+        """Large but finite: sums across monomials, exact big ints and
+        cancellation back into range are all fine."""
+        assert parse("1e308*x + 1e308*y").terms == {
+            Monomial.of("x"): 1e308, Monomial.of("y"): 1e308,
+        }
+        big = 10 ** 400
+        assert parse(f"{big}*x + {big}*x") == Polynomial.variable("x", 2 * big)
+        assert parse("1.7e308*x - 1e308*x") == Polynomial.variable(
+            "x", 1.7e308 - 1e308
+        )
+        # A big int next to floats, a zero term and a like-term sum that
+        # cancels to 0 before a big int: all finite, all kept.
+        x, y, z = (Monomial.of(name) for name in "xyz")
+        for text, terms in (
+            (f"{big}*x + 1.5*y", {x: big, y: 1.5}),
+            (f"{big}*x + 0.0*x + 1e308*y + 1e308*z",
+             {x: big, y: 1e308, z: 1e308}),
+            (f"1.5*x - 1.5*x + {big}*x + 1.5*y", {x: big, y: 1.5}),
+        ):
+            assert parse(text).terms == terms
 
 
 COEFFICIENTS = st.one_of(

@@ -271,6 +271,31 @@ class TestEndToEnd:
         assert extended["error"]["message"] == (
             "ParseError: polynomial 1: offset 9: unexpected end of text")
 
+    def test_non_finite_coefficient_is_400(self, tmp_path):
+        """Text whose coefficient overflows (``1e999``) is refused on
+        create and extend, so no answer can render as ``Infinity``."""
+        async def scenario(server):
+            port = server.port
+            create = await asyncio.to_thread(
+                call, port, "POST", "/artifacts",
+                artifact_body(polynomials=["1e999*b1*m1 + 2*b2*m1"]))
+            _, created = await asyncio.to_thread(
+                call, port, "POST", "/artifacts", artifact_body())
+            extend = await asyncio.to_thread(
+                call, port, "POST", f"/artifacts/{created['id']}/extend",
+                {"polynomials": ["b1*m1", "1e308*b2*m2 + 1e308*b2*m2"]})
+            return create, extend
+
+        (create, created), (extend, extended) = asyncio.run(
+            with_server(scenario)(tmp_path))
+        assert (create, extend) == (400, 400)
+        assert created["error"]["message"] == (
+            "ParseError: polynomial 0: offset 0: coefficient is not a "
+            "finite number")
+        assert extended["error"]["message"] == (
+            "ParseError: polynomial 1: offset 14: coefficient is not a "
+            "finite number")
+
     def test_healthz_reports_counters(self, tmp_path):
         async def scenario(server):
             port = server.port
