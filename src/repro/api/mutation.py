@@ -33,7 +33,6 @@ steers a mutation, so none of them takes ``options=``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -54,10 +53,6 @@ __all__ = ["DEFAULT_DRIFT_LIMIT", "MutationResult", "extend_artifact"]
 #: bound by this fraction before a mutation falls back to an exact
 #: recompression. ``drift = max(0, |P↓S|_M − B) / B``.
 DEFAULT_DRIFT_LIMIT = 0.25
-
-#: One warning per process for copy-on-extend of mmap-backed artifacts
-#: (the pattern of ``repro.api.artifact._WARNED_JSON_MMAP``).
-_WARNED_COPY_ON_EXTEND = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,30 +110,19 @@ def _writable_polynomials(artifact: CompressedProvenance) -> PolynomialSet:
     Binary-loaded artifacts view read-only ``mmap`` buffers through a
     :class:`~repro.core.binfmt.BufferBackedPolynomialSet`, whose
     ``extend`` raises. Extending such an artifact routes through
-    copy-on-extend, with a one-time warning: the file's columnar arrays
+    copy-on-extend: the file's columnar arrays
     (:meth:`BufferBackedPolynomialSet.columnar
-    <repro.core.binfmt.BufferBackedPolynomialSet.columnar>`) back a
-    plain, writable set, and no ``Polynomial`` object is built. The
-    loaded set keeps answering from its own compiled evaluator; the
-    copy compiles its own from the arrays when first asked or saved.
+    <repro.core.binfmt.BufferBackedPolynomialSet.columnar>`) are copied
+    into a plain, writable set, and no ``Polynomial`` object is built.
+    The loaded set keeps answering from its own compiled evaluator; the
+    copy compiles its own from the arrays when first asked or saved,
+    and a later extend of the result appends to it in place.
     """
     from repro.core.binfmt import BufferBackedPolynomialSet
 
     polynomials = artifact.polynomials
     if not isinstance(polynomials, BufferBackedPolynomialSet):
         return polynomials
-    global _WARNED_COPY_ON_EXTEND
-    if not _WARNED_COPY_ON_EXTEND:
-        _WARNED_COPY_ON_EXTEND = True
-        warnings.warn(
-            "extending a binary-loaded artifact copies its polynomials' "
-            "arrays first (a loaded set is read-only), so this "
-            "mutation pays one array copy + recompile; keep the returned "
-            "(writable) artifact for repeated extends. This warning is "
-            "emitted once per process.",
-            UserWarning,
-            stacklevel=4,
-        )
     return PolynomialSet.from_columnar(polynomials.columnar().copy())
 
 

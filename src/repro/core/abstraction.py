@@ -13,12 +13,12 @@ Central notions:
   ``l₀..l_m`` is then ``Σ_P (Σᵢ|D_P[lᵢ]| − |⋃ᵢ D_P[lᵢ]|)`` — computed
   bottom-up for *all* nodes without re-traversing the polynomials.
 
-Every multiset operation here runs on the set's columnar view
-(:mod:`repro.core.columnar`); a single :class:`Polynomial` abstracts
-through :meth:`Polynomial.substitute
-<repro.core.polynomial.Polynomial.substitute>`, the semiring primitive
-:meth:`ValidVariableSet.apply
-<repro.core.forest.ValidVariableSet.apply>` uses too.
+Every operation here runs on the set's columnar view
+(:mod:`repro.core.columnar`). :func:`abstract` is the one
+implementation of ``P↓S``: a single :class:`Polynomial` abstracts as a
+one-polynomial set, and :meth:`ValidVariableSet.apply
+<repro.core.forest.ValidVariableSet.apply>` calls it, so every path
+gives the same coefficients, bit for bit.
 
 Single-tree additivity (the key insight behind Algorithm 1): because a
 compatible monomial holds at most one variable of the tree, the sets of
@@ -61,18 +61,27 @@ def abstract(polynomials, vvs):
     <repro.core.columnar.ColumnarMultiset.substitute>`, arrays to
     arrays: the result is a :class:`PolynomialSet` backed by the
     abstracted multiset, whose ``Polynomial`` objects are built only
-    if it is iterated. A single :class:`Polynomial` abstracts through
-    :meth:`Polynomial.substitute
-    <repro.core.polynomial.Polynomial.substitute>`.
+    if it is iterated. A single :class:`Polynomial` abstracts as the
+    one-polynomial set and returns its one polynomial, so it gets the
+    coefficients it gets inside any set.
+
+    >>> from repro.core.parser import parse
+    >>> from repro.core.tree import AbstractionTree
+    >>> from repro.core.forest import AbstractionForest
+    >>> tree = AbstractionTree.from_nested(("q1", ["m1", "m3"]))
+    >>> vvs = AbstractionForest([tree]).root_vvs()
+    >>> str(abstract(parse("2*m1*x + 3*m3*x"), vvs))
+    '5*q1*x'
     """
     if not isinstance(vvs, ValidVariableSet):
         raise TypeError(f"expected ValidVariableSet, got {type(vvs).__name__}")
+    id_mapping = VARIABLES.intern_mapping(vvs.mapping())
+    abstracted = PolynomialSet.from_columnar(
+        ensure_set(polynomials).columnar().substitute(id_mapping)
+    )
     if isinstance(polynomials, PolynomialSet):
-        id_mapping = VARIABLES.intern_mapping(vvs.mapping())
-        return PolynomialSet.from_columnar(
-            polynomials.columnar().substitute(id_mapping)
-        )
-    return polynomials.substitute(vvs.mapping())
+        return abstracted
+    return abstracted[0]
 
 
 def losses(polynomials, vvs):

@@ -422,8 +422,8 @@ class ColumnarMultiset:
 
         Returns ``(m_rows, m_vids, m_exps, new_starts)``: the surviving
         factor list of every row with equal targets merged (exponents
-        added) and factors sorted by target id — the columnar form of
-        ``Monomial.substitute_ids``.
+        added, so ``a*b`` under ``a→b`` is ``b^2``) and factors sorted by
+        target id, the order of ``Monomial.key``.
         """
         remap = self._remap(id_mapping)
         new_vids = remap[self.vids]
@@ -488,12 +488,18 @@ class ColumnarMultiset:
     def substitute(self, id_mapping):
         """``P↓S`` as a new multiset, its rows in canonical order.
 
+        The one substitution kernel: :func:`repro.core.abstraction.abstract`
+        runs it for a set, a single polynomial and
+        :meth:`ValidVariableSet.apply
+        <repro.core.forest.ValidVariableSet.apply>` alike. Any renaming
+        works, not only a cut's.
+
         Rows merged by the remap form one row whose coefficient is the
         sum of theirs, added as exact Python objects in source row
         order — a polynomial's sums depend on its own rows only, so any
         subset of the set abstracts to the same coefficients bit for
-        bit; zero sums are dropped, as in :meth:`Polynomial.substitute_ids
-        <repro.core.polynomial.Polynomial.substitute_ids>`. Grouping
+        bit; zero sums are dropped, as :class:`Polynomial
+        <repro.core.polynomial.Polynomial>` drops a zero term. Grouping
         rows on ``[poly, (name rank, exponent)...]`` with the factors in
         name order numbers the groups in canonical order — that of
         ``sorted(Polynomial.terms)``, which compares name-sorted

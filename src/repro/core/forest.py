@@ -245,8 +245,14 @@ class ValidVariableSet:
         return self.mapping().get(variable, variable)
 
     def apply(self, polynomials):
-        """``P↓S`` — abstract a polynomial (or multiset of polynomials)."""
-        return polynomials.substitute(self.mapping())
+        """``P↓S`` — abstract a polynomial (or multiset of polynomials).
+
+        The same as :func:`abstract(polynomials, self)
+        <repro.core.abstraction.abstract>`, the one implementation.
+        """
+        from repro.core.abstraction import abstract
+
+        return abstract(polynomials, self)
 
     def group(self, label):
         """The leaves abstracted by ``label`` (singleton if a leaf)."""

@@ -7,13 +7,15 @@ or ``"1e-05*x"``. The grammar (whitespace between tokens is ignored)::
     term       := factor ('*' factor)*
     factor     := NUMBER | VARIABLE ['^' DIGITS]
     NUMBER     := (DIGITS ['.' DIGITS] | '.' DIGITS) [('e'|'E') ['+'|'-'] DIGITS]
-    VARIABLE   := [A-Za-z_][A-Za-z0-9_]*
+    VARIABLE   := [A-Za-z_][A-Za-z0-9_]*, other than inf and nan
 
 A number with a ``.`` or an exponent is a float, any other an int. A
 term's coefficient is its sign times its numbers, multiplied left to
 right; repeated variables add exponents; like terms combine as in
-:class:`Polynomial`. So ``parse(str(p)) == p`` for int and finite float
-coefficients.
+:class:`Polynomial`. So ``parse(str(p)) == p``, coefficient types
+included, for int and finite float coefficients. ``inf`` and ``nan``
+are how ``str()`` writes a coefficient that is not finite, so they are
+refused as variable names rather than read as a different polynomial.
 
 One compiled pattern consumes a whole term per call: its sign, its
 leading numbers and its monomial text. :func:`parse_set` keeps one map
@@ -23,9 +25,9 @@ Variables are interned by sorted name within a monomial, monomials in
 text order (``.rpb`` column order follows interning order).
 
 A :class:`ParseError` names the offset of the first character that does
-not fit the grammar (the term's, for an exponent that sums to 0 or a
-coefficient that is not finite) and, from :func:`parse_set`, the
-polynomial's index counting from 0::
+not fit the grammar (the term's, for an exponent that sums to 0, a
+coefficient that is not finite or a variable named ``inf`` or ``nan``)
+and, from :func:`parse_set`, the polynomial's index counting from 0::
 
     polynomial 2: offset 4: unexpected '$ y'
 
@@ -63,6 +65,8 @@ _TERM = re.compile(
 )
 _FACTORS = re.compile(rf"({_NUM})|({_NAME})(?:\s*\^\s*(\d+))?")
 _INF = float("inf")
+#: What ``str()`` writes for a coefficient that is not finite.
+_NON_FINITE = frozenset({"inf", "nan"})
 
 
 def _number(literal):
@@ -81,6 +85,8 @@ def _monomial(text):
     for name, exponent in sorted(powers.items()):
         if not exponent:
             raise ValueError(f"exponent of {name!r} must be >= 1, got 0")
+        if name in _NON_FINITE:
+            raise ValueError(f"{name!r} is a number that is not finite, not a variable")
         key.append((VARIABLES.intern(name), exponent))
     return Monomial._from_key(tuple(sorted(key))), tuple(numbers)
 

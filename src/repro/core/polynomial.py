@@ -18,13 +18,15 @@ The paper measures a polynomial ``P`` by
 
 and lifts both point-wise to (multi)sets of polynomials. This module
 implements :class:`Monomial`, :class:`Polynomial`, and
-:class:`PolynomialSet` with exactly those measures, plus the variable
-substitution primitive that provenance abstraction is built on.
+:class:`PolynomialSet` with exactly those measures. Abstraction
+(``P↓S``) is not a method here: :func:`repro.core.abstraction.abstract`
+computes it, for a set or a single polynomial, on the set's columnar
+view.
 
 Representation: variable names are interned through
 :data:`repro.core.interning.VARIABLES`; each monomial's canonical form
 is its ``key`` — a tuple of ``(var_id, exponent)`` pairs sorted by id.
-All hashing, equality, multiplication and substitution run on keys;
+All hashing, equality and multiplication run on keys;
 the string-facing ``powers`` view (sorted by variable *name*, as the
 parser and printers expect) is derived lazily. Polynomials are treated
 as immutable once built, so their variable sets are computed once and
@@ -165,24 +167,6 @@ class Monomial:
         acc = dict(self.key)
         for vid, exp in other.key:
             acc[vid] = acc.get(vid, 0) + exp
-        return Monomial._from_key(tuple(sorted(acc.items())))
-
-    def substitute(self, mapping):
-        """Rename variables via ``mapping``; unmapped variables stay intact.
-
-        If two variables map to the same target their exponents combine:
-
-        >>> str(Monomial.of("a", "b").substitute({"a": "g", "b": "g"}))
-        'g^2'
-        """
-        return self.substitute_ids(VARIABLES.intern_mapping(mapping))
-
-    def substitute_ids(self, id_mapping):
-        """:meth:`substitute` over an interned ``{var_id: var_id}`` map."""
-        acc = {}
-        for vid, exp in self.key:
-            target = id_mapping.get(vid, vid)
-            acc[target] = acc.get(target, 0) + exp
         return Monomial._from_key(tuple(sorted(acc.items())))
 
     def evaluate(self, assignment, default=1.0):
@@ -387,55 +371,7 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    # --------------------------------------------------------- provenance ops
-
-    def substitute(self, mapping):
-        """``P↓S`` workhorse: rename variables, merging equal monomials.
-
-        Coefficients of monomials that become identical are summed —
-        this is exactly how abstraction shrinks ``|P|_M``.
-
-        >>> p = Polynomial.from_terms(
-        ...     [(2, Monomial.of("m1", "x")), (3, Monomial.of("m3", "x"))])
-        >>> str(p.substitute({"m1": "q1", "m3": "q1"}))
-        '5*q1*x'
-        """
-        return self.substitute_ids(VARIABLES.intern_mapping(mapping))
-
-    def substitute_ids(self, id_mapping):
-        """:meth:`substitute` over an interned ``{var_id: var_id}`` map.
-
-        Monomials untouched by the mapping are reused as-is; rewritten
-        keys are deduplicated so each distinct target monomial is built
-        once.
-        """
-        if not id_mapping:
-            return self
-        mapped = set(id_mapping)
-        if mapped.isdisjoint(self.variable_ids()):
-            return self
-        acc = {}
-        rebuilt = {}
-        for monomial, coeff in self.terms.items():
-            key = monomial.key
-            if mapped.isdisjoint(vid for vid, _ in key):
-                new_monomial = monomial
-            else:
-                key_acc = {}
-                for vid, exp in key:
-                    target = id_mapping.get(vid, vid)
-                    key_acc[target] = key_acc.get(target, 0) + exp
-                new_key = tuple(sorted(key_acc.items()))
-                new_monomial = rebuilt.get(new_key)
-                if new_monomial is None:
-                    new_monomial = Monomial._from_key(new_key)
-                    rebuilt[new_key] = new_monomial
-            new = acc.get(new_monomial, 0) + coeff
-            if new == 0:
-                acc.pop(new_monomial, None)
-            else:
-                acc[new_monomial] = new
-        return Polynomial._raw(acc)
+    # ------------------------------------------------------------ valuation
 
     def evaluate(self, assignment, default=1.0):
         """Value of ``P`` under a (hypothetical-scenario) assignment.
@@ -449,16 +385,6 @@ class Polynomial:
         for monomial, coeff in self.terms.items():
             total += coeff * monomial.evaluate(assignment, default)
         return total
-
-    def restricted_to(self, variables):
-        """The sub-polynomial of monomials that only use ``variables``."""
-        lookup = VARIABLES.lookup
-        allowed = {vid for vid in map(lookup, variables) if vid is not None}
-        return Polynomial(
-            (m, c)
-            for m, c in self.terms.items()
-            if all(vid in allowed for vid, _ in m.key)
-        )
 
     # ------------------------------------------------------------- equality
 
@@ -492,6 +418,16 @@ class Polynomial:
         return bool(self.terms)
 
     def __str__(self):
+        """The text :func:`repro.parse` reads back to ``self``, coefficient
+        types included, for int and finite float coefficients: only an
+        int unit coefficient is left out.
+
+        >>> x = Monomial.of("x")
+        >>> str(Polynomial({x: 1, Monomial.ONE: 1.0}))
+        '1.0 + x'
+        >>> str(Polynomial({x: -1.0}))
+        '-1.0*x'
+        """
         if not self.terms:
             return "0"
         chunks = []
@@ -500,7 +436,7 @@ class Polynomial:
             magnitude = abs(coeff)
             if not monomial.key:
                 body = f"{magnitude}"
-            elif magnitude == 1:
+            elif magnitude == 1 and isinstance(magnitude, int):
                 body = str(monomial)
             else:
                 body = f"{magnitude}*{monomial}"
@@ -650,11 +586,6 @@ class PolynomialSet:
     def num_variables(self):
         """``|P|_V`` — number of distinct variables across the multiset."""
         return len(self.variable_ids())
-
-    def substitute(self, mapping):
-        """Point-wise substitution (``P↓S`` lifted to the multiset)."""
-        id_mapping = VARIABLES.intern_mapping(mapping)
-        return PolynomialSet(p.substitute_ids(id_mapping) for p in self.polynomials)
 
     def evaluate(self, assignment, default=1.0):
         """Point-wise valuation; returns one value per polynomial."""

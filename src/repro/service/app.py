@@ -257,8 +257,6 @@ class WhatIfService:
         return 201, {"id": artifact_id, "stats": stored.artifact.stats()}
 
     def _extend(self, artifact_id: str, request: Request) -> tuple[int, dict]:
-        import warnings
-
         from repro.core.parser import parse_set
 
         body = _require_object(request.json(), "extend request")
@@ -279,14 +277,7 @@ class WhatIfService:
             raise HttpError(400, "'drift_limit' must be a number")
         warm = self._fetch(artifact_id)
         added = parse_set(texts)
-        with warnings.catch_warnings():
-            # Spooled artifacts are always mmap-backed, so every service
-            # extend goes copy-on-extend by construction — the API's
-            # one-time advisory about it is noise here.
-            warnings.filterwarnings(
-                "ignore", message="extending a binary-loaded artifact"
-            )
-            result = warm.artifact.refresh(added, drift_limit=drift_limit)
+        result = warm.artifact.refresh(added, drift_limit=drift_limit)
         new_id = self.store.put(result.artifact)
         self.breaker.record_success(artifact_id)
         return 201, result.with_id(new_id).stats()

@@ -12,7 +12,6 @@ import pickle
 import subprocess
 import sys
 import uuid
-import warnings
 from fractions import Fraction
 
 import numpy
@@ -425,9 +424,7 @@ class TestForeignCopyOnExtend:
             for name in loaded.polynomials._file_variables
         ]
         assert file_ids != sorted(file_ids)  # rows must be re-sorted
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            copied = _writable_polynomials(loaded).columnar()
+        copied = _writable_polynomials(loaded).columnar()
         assert loaded.polynomials._polynomials is None
         materialized = list(CompressedProvenance.load(path).polynomials)
         from_names = list(load_json_twin(path).polynomials)
@@ -455,12 +452,10 @@ class TestForeignCopyOnExtend:
                 variable_loss=loaded.variable_loss,
             )
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            via_arrays = loaded.refresh(delta, drift_limit=float("inf"))
-            # The loaded artifact is left as it was: extending it again
-            # (as the service does from one stored id) gives the same.
-            again = loaded.refresh(delta, drift_limit=float("inf"))
+        via_arrays = loaded.refresh(delta, drift_limit=float("inf"))
+        # The loaded artifact is left as it was: extending it again (as
+        # the service does from one stored id) gives the same.
+        again = loaded.refresh(delta, drift_limit=float("inf"))
         results = {
             "arrays": via_arrays,
             "again": again,

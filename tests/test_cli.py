@@ -1,15 +1,22 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.core import serialize
 from repro.core.forest import AbstractionForest
+from repro.core.parser import parse_set
 from repro.core.tree import AbstractionTree
 from repro.workloads.telephony import example13_polynomials, plans_tree
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -159,6 +166,32 @@ class TestBinaryFormat:
         bad.write_bytes(b"RPROVBIN" + b"\x00" * 4)
         with pytest.raises(SystemExit):
             main(["ask", str(bad), "--set", "p1=0.5"])
+
+    def test_extend_of_binary_artifact_is_silent(self, files, tmp_path):
+        """Copy-on-extend of a ``.rpb`` writes nothing to stderr. In a
+        fresh interpreter, so no earlier extend in this process can have
+        used up a once-per-process warning."""
+        _, provenance, forest = files
+        artifact = str(tmp_path / "artifact.rpb")
+        assert main([
+            "compress", provenance, forest, "--bound", "9",
+            "--algorithm", "optimal", "--artifact", artifact,
+        ]) == 0
+        delta = tmp_path / "delta.json"
+        delta.write_text(serialize.dumps(
+            parse_set(["2*b1*m1 + 3.5*p1*m3", "7*e*m2"])
+        ))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "extend", artifact,
+             "--added", str(delta), "--drift-limit", "1e9",
+             "--output", str(tmp_path / "extended.rpb")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(r"^path: +repaired$", proc.stdout, re.MULTILINE)
+        assert proc.stderr == ""
 
 
 class TestAsk:

@@ -21,13 +21,13 @@ from fractions import Fraction
 
 import numpy
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
 from repro.algorithms.brute_force import brute_force_vvs
 from repro.algorithms.greedy import greedy_vvs
 from repro.algorithms.optimal import optimal_vvs
-from repro.algorithms.result import InfeasibleBoundError
+from repro.algorithms.result import AbstractionResult, InfeasibleBoundError
 from repro.core.abstraction import LossIndex, abstract, abstract_counts, losses
 from repro.core.columnar import (
     ColumnarMultiset, gather_ranges, invert_index, unique_row_ids,
@@ -37,6 +37,9 @@ from repro.core.interning import VARIABLES
 from repro.core.parser import parse_set
 from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
 from repro.core.tree import AbstractionTree
+from repro.engine.sql import execute
+from repro.workloads.tpch import part_tree, supplier_tree
+from test_engine_differential import TPCH_QUERIES, tpch_params
 
 # ---------------------------------------------------------------------------
 # Plain-data views and comparisons
@@ -263,28 +266,6 @@ class TestAbstractCounts:
 
     @settings(deadline=None)
     @given(polynomial_sets(), mappings)
-    def test_counts_match_materialization_keys(self, polys, mapping):
-        """Counts agree with the keys ``Monomial.substitute`` builds.
-
-        (Materialized sizes may be *smaller* when merged coefficients
-        cancel to zero — counts deliberately ignore coefficients.)
-        """
-        size, granularity = abstract_counts(polys, mapping)
-        keys = set()
-        variables = set()
-        for polynomial in polys:
-            poly_keys = {
-                monomial.substitute(mapping).key
-                for monomial in polynomial.monomials
-            }
-            keys.update((id(polynomial), key) for key in poly_keys)
-            for key in poly_keys:
-                variables.update(vid for vid, _ in key)
-        assert size == len(keys)
-        assert granularity == len(variables)
-
-    @settings(deadline=None)
-    @given(polynomial_sets(), mappings)
     def test_unpickled_sets_count_identically(self, polys, mapping):
         restored = pickle.loads(pickle.dumps(polys))
         assert restored == polys
@@ -359,7 +340,7 @@ class TestAbstractMaterialization:
     @settings(deadline=None, max_examples=50)
     @given(polynomial_sets(), one_level_cuts())
     def test_single_polynomial_substitutes(self, polys, vvs):
-        """A lone ``Polynomial`` abstracts through ``substitute``."""
+        """A lone ``Polynomial`` abstracts as a one-polynomial set."""
         for polynomial in polys:
             assert_same_polynomials(
                 plain([abstract(polynomial, vvs)]),
@@ -450,13 +431,13 @@ class TestAbstractArrays:
 
     @settings(deadline=None, max_examples=40)
     @given(reversed_instances(families=EXACT_FAMILIES))
-    def test_exact_families_equal_the_object_substitution(self, instance):
-        """Exact sums do not depend on their order, so the multiset also
-        equals the extraction of ``Polynomial.substitute``'s objects."""
+    def test_exact_families_equal_the_oracle(self, instance):
+        """Exact sums do not depend on their order, so the polynomials
+        equal the oracle's to the bit, type included."""
         polys, vvs = instance
-        assert_same_arrays(
-            self.check(polys, vvs).columnar(),
-            ColumnarMultiset(polys.substitute(vvs.mapping())),
+        assert_same_polynomials(
+            plain(self.check(polys, vvs)),
+            oracle.abstract(plain(polys), vvs.mapping()),
         )
 
     def test_zero_sums_and_constants(self):
@@ -466,6 +447,67 @@ class TestAbstractArrays:
         ])
         abstracted = self.check(polys, forest.root_vvs())
         assert [str(p) for p in abstracted] == ["c", "0", "5", "3"]
+
+
+# ---------------------------------------------------------------------------
+# One P↓S: every path gives abstract's bits
+# ---------------------------------------------------------------------------
+
+
+def coefficient_bits(polynomials):
+    """Per polynomial, every monomial's coefficient as its type and repr."""
+    return [
+        {monomial: (type(coeff), repr(coeff)) for monomial, coeff in p.terms.items()}
+        for p in polynomials
+    ]
+
+
+def assert_one_path(polys, vvs):
+    """``vvs.apply``, ``AbstractionResult.apply`` and abstracting each
+    polynomial alone all equal ``abstract(polys, vvs)``, bit for bit."""
+    expected = coefficient_bits(abstract(polys, vvs))
+    result = AbstractionResult(
+        vvs, *losses(polys, vvs), *abstract_counts(polys, vvs.mapping())
+    )
+    assert coefficient_bits(vvs.apply(polys)) == expected
+    assert coefficient_bits(result.apply(polys)) == expected
+    assert coefficient_bits([abstract(p, vvs) for p in polys]) == expected
+
+
+#: Float terms that merge into one, inserted in the reverse of their
+#: canonical order: summed in insertion order they give 0.6, in row
+#: order 0.6000000000000001.
+REVERSED_FLOAT_MERGE = (
+    PolynomialSet([Polynomial.from_terms(
+        [(0.3, Monomial.of("t0l2")), (0.2, Monomial.of("t0l1")),
+         (0.1, Monomial.of("t0l0"))]
+    )]),
+    AbstractionForest([
+        AbstractionTree.from_nested(("T0_0", ["t0l0", "t0l1", "t0l2"]))
+    ]),
+)
+
+
+class TestOnePath:
+    @settings(deadline=None, max_examples=60)
+    @given(compatible_instances(), st.integers(0, 2 ** 16))
+    @example(REVERSED_FLOAT_MERGE, 0)
+    def test_every_family(self, instance, index):
+        polys, forest = instance
+        cuts = oracle.forest_cuts(specs(forest))
+        assert_one_path(polys, forest.vvs(cuts[index % len(cuts)]))
+
+    @pytest.mark.parametrize("query", sorted(TPCH_QUERIES))
+    def test_tpch_root_and_middle_cuts(self, tiny_tpch, query):
+        polys = execute(
+            TPCH_QUERIES[query], tiny_tpch.tables, params=tpch_params
+        ).polynomials
+        forest = AbstractionForest(
+            [supplier_tree(buckets=128), part_tree(buckets=128)]
+        ).clean(polys)
+        middle = {child.label for tree in forest for child in tree.root.children}
+        for vvs in (forest.root_vvs(), forest.vvs(middle)):
+            assert_one_path(polys, vvs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.api.mutation as mutation
 from repro.api.artifact import CompressedProvenance
 from repro.api.mutation import MutationResult, extend_artifact
 from repro.api.session import ProvenanceSession
@@ -391,10 +390,7 @@ def serialize_free_delta():
 
 
 class TestCopyOnExtend:
-    def test_mmap_artifact_extends_via_copy_with_one_warning(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(mutation, "_WARNED_COPY_ON_EXTEND", False)
+    def test_mmap_artifact_extends_via_copy_without_warning(self, tmp_path):
         base = PolynomialSet([anchor_polynomial()])
         session, artifact = compress_base(base)
         path = tmp_path / "artifact.rpb"
@@ -408,9 +404,7 @@ class TestCopyOnExtend:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             first = loaded.refresh(delta, drift_limit=float("inf"))
-        advisories = [w for w in caught
-                      if "copies its polynomials" in str(w.message)]
-        assert len(advisories) == 1
+        assert caught == []
         assert first.path == "repaired"
         assert not first.artifact.mmap_active  # the copy is writable
 
@@ -418,13 +412,12 @@ class TestCopyOnExtend:
         assert first.artifact.polynomials == abstract(
             combined, artifact.vvs)
 
-        # One-time: a second mmap-backed refresh stays silent.
+        # A second mmap-backed refresh is silent too.
         again = CompressedProvenance.load(path, mmap=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             again.refresh(delta, drift_limit=float("inf"))
-        assert not [w for w in caught
-                    if "copies its polynomials" in str(w.message)]
+        assert caught == []
 
         # The spooled container is untouched by either mutation.
         assert CompressedProvenance.load(path, mmap=False) == artifact

@@ -1,7 +1,7 @@
 """Tests for the variable interning table and the id-keyed Monomial."""
 
 from repro.core.interning import SENTINEL_ID, VARIABLES, VariableTable
-from repro.core.polynomial import Monomial, Polynomial
+from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
 
 
 class TestVariableTable:
@@ -71,9 +71,15 @@ class TestMonomialKey:
         assert probe not in m
 
     def test_substitute_ids(self):
-        m = Monomial.of("m1", "x")
+        polys = PolynomialSet([Polynomial({Monomial.of("m1", "x"): 1})])
         id_map = VARIABLES.intern_mapping({"m1": "q1"})
-        assert m.substitute_ids(id_map) == Monomial.of("q1", "x")
+        renamed = polys.columnar().substitute(id_map)
+        assert renamed.vids.tolist() == sorted(
+            VARIABLES.intern(name) for name in ("q1", "x")
+        )
+        assert list(PolynomialSet.from_columnar(renamed)[0].monomials) == [
+            Monomial.of("q1", "x")
+        ]
 
 
 class TestPolynomialIdCaches:

@@ -177,7 +177,7 @@ class TestExamples17Through24:
         p = uniformly_partitioned(4, 3, [(1, 2), (1, 3), (2, 3), (2, 4)])
         forest = flat_abstraction(4, 3)
         vvs = flat_cut(forest, {1, 3}, 4, 3)
-        abstracted = p.substitute(vvs.mapping())
+        abstracted = abstract(p, vvs)
         # P(1,3) collapses to 9·x(1)·x(3).
         assert abstracted.coefficient(Monomial.of("x(1)", "x(3)")) == 9
         # P(1,2) yields 3·x(1)·x(2)_j for each j.

@@ -487,12 +487,31 @@ class TestRoundTrip:
         back = parse(str(p))
         assert back == p
         for monomial, coefficient in p.terms.items():
-            # str() writes a unit coefficient of a non-constant monomial as
-            # the bare monomial, so a float 1.0 there comes back as int 1.
-            unit = bool(monomial.key) and abs(coefficient) == 1
             got = back.terms[monomial]
-            assert type(got) is (int if unit else type(coefficient))
-            assert unit or repr(got) == repr(coefficient)
+            assert type(got) is type(coefficient)
+            assert repr(got) == repr(coefficient)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_unit_float_coefficients_keep_their_type(self, sign):
+        x = Monomial.of("x")
+        p = Polynomial({x: sign * 1.0, Monomial.ONE: 1.0, Monomial.of("y"): 1})
+        assert str(p) == f"1.0 {'+' if sign > 0 else '-'} 1.0*x + y"
+        assert [(m, type(c)) for c, m in parse(str(p))] == [
+            (m, type(c)) for c, m in p
+        ]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "monomial", [Monomial.ONE, Monomial.of("x"), Monomial.of("x", ("y", 2))]
+    )
+    def test_non_finite_coefficients_do_not_parse_back(self, value, monomial):
+        """str() writes ``inf``/``nan`` for them, which must not read as
+        a variable of a different polynomial."""
+        p = Polynomial({Monomial.of("z"): 2, monomial: value})
+        with pytest.raises(ParseError, match="'(inf|nan)' is a number that is not"):
+            parse(str(p))
+        with pytest.raises(ParseError, match="^polynomial 1: offset"):
+            parse_set(["z", str(p)])
 
     @settings(max_examples=100, deadline=None)
     @given(POLYNOMIALS)
