@@ -41,6 +41,13 @@ class AbstractionResult:
     * ``abstracted_granularity`` — ``|P↓S|_V`` (the surviving degrees of
       freedom for hypothetical reasoning);
     * ``trace`` — algorithm-specific step log (greedy fills this).
+
+    The counts are structural (:func:`~repro.core.abstraction.abstract_counts`):
+    the sizes are upper bounds on those of the materialized ``P↓S``, and
+    the losses lower bounds, equal unless merged coefficients cancel.
+    :meth:`CompressedProvenance.from_result
+    <repro.api.artifact.CompressedProvenance.from_result>` counts the
+    artifact's losses on the materialized set.
     """
 
     vvs: ValidVariableSet

@@ -115,6 +115,7 @@ class CompressedProvenance:
         "monomial_loss",
         "variable_loss",
         "revision",
+        "mmap_active",
     )
 
     def __init__(
@@ -130,6 +131,7 @@ class CompressedProvenance:
         monomial_loss: int,
         variable_loss: int,
         revision: int = 0,
+        mmap_active: bool = False,
     ) -> None:
         if not isinstance(polynomials, PolynomialSet):
             raise TypeError(
@@ -152,6 +154,12 @@ class CompressedProvenance:
         # Not part of __eq__: a repaired artifact and a from-scratch one
         # with the same content compare equal whatever their histories.
         self.revision = int(revision)
+        #: ``True`` iff the polynomials view an ``mmap`` of the artifact
+        #: file, which only :func:`repro.core.binfmt.read_artifact` sets
+        #: (``.rpb`` with ``mmap=True``). The file's bytes must then not be
+        #: rewritten in place; :meth:`save` renames a new file in. Not in
+        #: ``__eq__`` either.
+        self.mmap_active = bool(mmap_active)
 
     @classmethod
     def from_result(
@@ -162,19 +170,25 @@ class CompressedProvenance:
         algorithm: str,
         bound: int,
     ) -> CompressedProvenance:
-        """Package an :class:`AbstractionResult` computed on ``original``."""
+        """Package an :class:`AbstractionResult` computed on ``original``.
+
+        The losses are counted on the abstracted set (original minus
+        abstracted), so they agree with the sizes even where merged
+        coefficients cancel and the solver's structural counts do not.
+        """
         from repro.core.abstraction import abstract
 
+        abstracted = abstract(original, result.vvs)
         return cls(
-            abstract(original, result.vvs),
+            abstracted,
             result.vvs.forest,
             result.vvs,
             algorithm=algorithm,
             bound=bound,
             original_size=original.num_monomials,
             original_granularity=original.num_variables,
-            monomial_loss=result.monomial_loss,
-            variable_loss=result.variable_loss,
+            monomial_loss=original.num_monomials - abstracted.num_monomials,
+            variable_loss=original.num_variables - abstracted.num_variables,
         )
 
     # -------------------------------------------------------------- measures
@@ -195,18 +209,6 @@ class CompressedProvenance:
         if self.original_size == 0:
             return 1.0
         return self.abstracted_size / self.original_size
-
-    @property
-    def mmap_active(self) -> bool:
-        """``True`` iff the polynomials view an ``mmap`` of the artifact file.
-
-        Only binary (``.rpb``) containers loaded with ``mmap=True`` are
-        mmap-backed; JSON envelopes always load eagerly, whatever
-        ``mmap=`` said. While ``True``, the file's bytes must not be
-        rewritten in place; :meth:`save` over it renames a new file in,
-        which is safe.
-        """
-        return bool(getattr(self.polynomials, "mmap_active", False))
 
     def stats(self) -> dict[str, object]:
         """The artifact's size/loss accounting plus its load mode.
@@ -328,12 +330,12 @@ class CompressedProvenance:
 
         ``polynomials`` are *original* (unabstracted) provenance; they
         are abstracted under this artifact's existing cut and appended
-        in place — the columnar arrays, the compiled batch matrix and
-        the delta-engine index are repaired, not rebuilt (see
-        :mod:`repro.api.mutation`). Returns a
+        to a copy of its polynomial set — the copy's columnar arrays,
+        compiled batch matrix and delta-engine index are repaired, not
+        rebuilt (see :mod:`repro.api.mutation`). Returns a
         :class:`~repro.api.mutation.MutationResult` whose ``artifact``
-        is the extended artifact (revision bumped); this artifact is
-        consumed by the mutation.
+        is the extended artifact (revision bumped); this one is left
+        as it was.
 
         A bare artifact has no original provenance, so there is no
         recompress fallback here: when the appended monomials drift the
@@ -365,7 +367,7 @@ class CompressedProvenance:
         """Write the artifact to ``path``; returns ``path``.
 
         :param format: ``"json"`` (the portable tagged envelope),
-            ``"bin"`` (the zero-copy binary container, see
+            ``"bin"`` (the binary container, see
             :mod:`repro.core.binfmt`) or ``"auto"`` (the default:
             binary when ``path`` ends in ``.rpb`` or ``.bin``, JSON
             otherwise). :meth:`load` auto-detects by magic bytes, so
@@ -416,13 +418,12 @@ class CompressedProvenance:
     ) -> CompressedProvenance:
         """Read an artifact written by :meth:`save`, either format.
 
-        Binary containers are detected by magic bytes and loaded
-        zero-copy (via ``mmap`` unless disabled — see
+        Binary containers are detected by magic bytes and decoded
+        without a parse (via ``mmap`` unless disabled — see
         :func:`repro.core.binfmt.read_artifact`); anything else parses
-        as the JSON envelope. JSON has no zero-copy story, so
-        ``mmap=True`` on a JSON artifact parses it eagerly; the loaded
-        artifact reports :attr:`mmap_active` ``False`` (and so does
-        :meth:`stats`).
+        as the JSON envelope. JSON cannot be mapped, so ``mmap=True`` on
+        a JSON artifact parses it eagerly; the loaded artifact reports
+        :attr:`mmap_active` ``False`` (and so does :meth:`stats`).
         """
         artifact = serialize.load_path(path, mmap=mmap)
         if not isinstance(artifact, cls):

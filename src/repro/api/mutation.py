@@ -5,10 +5,12 @@ compress once, ask many times. Live data breaks that the moment a tuple
 insert arrives — recompressing from scratch forfeits the amortization
 the whole artifact model exists for. This module is the incremental
 alternative: appended polynomials are abstracted *under the artifact's
-existing cut* and appended to the artifact in place, with every derived
-structure repaired rather than rebuilt (columnar CSR arrays, compiled
-batch matrix, delta-engine index — see
-:meth:`PolynomialSet.extend <repro.core.polynomial.PolynomialSet.extend>`).
+existing cut* and appended to a copy of the artifact's polynomial set,
+with every derived structure the copy carries repaired rather than
+rebuilt (columnar CSR arrays, compiled batch matrix, delta-engine index
+— see :meth:`PolynomialSet.extend
+<repro.core.polynomial.PolynomialSet.extend>`). The input artifact is
+never mutated, however it was made and whoever holds it.
 
 Repair is exact, not approximate: monomials never merge across
 polynomials (each polynomial's abstraction is independent), so the
@@ -60,11 +62,12 @@ class MutationResult:
     """What one artifact mutation did — the unified return shape.
 
     * ``artifact`` — the resulting :class:`CompressedProvenance` (a new
-      object; the input artifact is consumed — its polynomial set may
-      have been extended in place);
+      object over its own polynomial set; the input artifact is left
+      as it was);
     * ``path`` — ``"repaired"`` (the cut was kept and every derived
-      structure extended in place) or ``"recompressed"`` (drift
-      exceeded the limit and an exact from-scratch compression ran);
+      structure of the copy extended in place) or ``"recompressed"``
+      (drift exceeded the limit and an exact from-scratch compression
+      ran);
     * ``drift`` / ``drift_limit`` — the observed bound overshoot
       fraction that steered the path, and the limit it was held to;
     * ``added_polynomials`` / ``added_monomials`` — the appended
@@ -104,26 +107,13 @@ class MutationResult:
         return replace(self, artifact_id=artifact_id)
 
 
-def _writable_polynomials(artifact: CompressedProvenance) -> PolynomialSet:
-    """The artifact's polynomials, copied when they refuse mutation.
-
-    Binary-loaded artifacts view read-only ``mmap`` buffers through a
-    :class:`~repro.core.binfmt.BufferBackedPolynomialSet`, whose
-    ``extend`` raises. Extending such an artifact routes through
-    copy-on-extend: the file's columnar arrays
-    (:meth:`BufferBackedPolynomialSet.columnar
-    <repro.core.binfmt.BufferBackedPolynomialSet.columnar>`) are copied
-    into a plain, writable set, and no ``Polynomial`` object is built.
-    The loaded set keeps answering from its own compiled evaluator; the
-    copy compiles its own from the arrays when first asked or saved,
-    and a later extend of the result appends to it in place.
-    """
-    from repro.core.binfmt import BufferBackedPolynomialSet
-
-    polynomials = artifact.polynomials
-    if not isinstance(polynomials, BufferBackedPolynomialSet):
-        return polynomials
-    return PolynomialSet.from_columnar(polynomials.columnar().copy())
+def _resolve_drift_limit(drift_limit: float | None, where: str) -> float:
+    """``drift_limit`` as a float (:data:`DEFAULT_DRIFT_LIMIT` for
+    ``None``); :class:`ValueError` unless it is ``>= 0``, NaN included."""
+    limit = DEFAULT_DRIFT_LIMIT if drift_limit is None else float(drift_limit)
+    if not limit >= 0:
+        raise ValueError(f"{where}: drift_limit must be >= 0, got {limit!r}")
+    return limit
 
 
 def _ensure_added(polynomials: PolynomialsLike) -> PolynomialSet:
@@ -145,9 +135,11 @@ def extend_artifact(
     """Append original provenance to a compressed artifact — the core.
 
     ``added`` holds *original* (unabstracted) polynomials; they are
-    abstracted under ``artifact.vvs`` and appended in place, repairing
-    the columnar/compiled caches (:meth:`PolynomialSet.extend
-    <repro.core.polynomial.PolynomialSet.extend>`). When the extended
+    abstracted under ``artifact.vvs`` and appended to
+    ``artifact.polynomials.copy()``, repairing the columnar/compiled
+    caches the copy carries (:meth:`PolynomialSet.extend
+    <repro.core.polynomial.PolynomialSet.extend>`); ``artifact`` itself
+    is never mutated. When the extended
     abstracted size drifts past ``drift_limit`` of the bound, the
     ``recompress`` callback (an exact from-scratch compression over the
     full original provenance) runs instead; without one, drift overflow
@@ -159,13 +151,11 @@ def extend_artifact(
     ``originals`` — the full original provenance *including* ``added``
     — makes the variable-loss accounting exact by direct count; without
     it the accounting counts genuinely new variables against the
-    artifact's own alphabet plus the forest labels (exact too, because
-    every original variable is either free — and so survives
-    abstraction — or a leaf of the compatibility-checked forest).
+    artifact's own alphabet plus the forest labels. That is exact unless
+    merged coefficients cancelled every monomial of a free variable:
+    missing from the alphabet, it counts again if the delta names it.
     """
-    limit = DEFAULT_DRIFT_LIMIT if drift_limit is None else float(drift_limit)
-    if limit < 0:
-        raise ValueError(f"{where}: drift_limit must be >= 0, got {limit!r}")
+    limit = _resolve_drift_limit(drift_limit, where)
     added = _ensure_added(added)
     forest = artifact.forest
     # §2.2 conditions 2 and 3 on the delta (the check the solvers run):
@@ -220,7 +210,7 @@ def extend_artifact(
         )
         original_granularity = artifact.original_granularity + new_variables
 
-    base = _writable_polynomials(artifact)
+    base = artifact.polynomials.copy()
     base.extend(delta)
     variable_loss = original_granularity - base.num_variables
 

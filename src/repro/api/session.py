@@ -306,9 +306,9 @@ class ProvenanceSession:
         (new original provenance — fresh tuples' annotations) are
         appended to this session in place, and ``artifact`` (previously
         compressed from this session's provenance) is maintained
-        incrementally — its abstracted polynomials, columnar arrays,
-        compiled batch matrix and delta-engine index are *repaired*
-        under the existing cut rather than rebuilt (see
+        incrementally — a copy of its abstracted polynomials, with their
+        columnar arrays, compiled batch matrix and delta-engine index,
+        is *repaired* under the existing cut rather than rebuilt (see
         :mod:`repro.api.mutation`). When the appended monomials drift
         the abstracted size more than ``drift_limit`` past the bound
         (default :data:`~repro.api.mutation.DEFAULT_DRIFT_LIMIT`), an
@@ -320,18 +320,21 @@ class ProvenanceSession:
         originals and raises on drift overflow.
 
         Returns a :class:`~repro.api.mutation.MutationResult`; its
-        ``artifact`` replaces the input artifact (which is consumed —
-        its polynomial set may have been extended in place), ``path``
-        says whether repair (``"repaired"``) or the fallback
-        (``"recompressed"``) ran, and ``drift`` quantifies the bound
-        overshoot that steered the choice.
+        ``artifact`` is the extended artifact (the input is left as it
+        was), ``path`` says whether repair (``"repaired"``) or the
+        fallback (``"recompressed"``) ran, and ``drift`` quantifies the
+        bound overshoot that steered the choice.
 
         :raises CompatibilityError: when a monomial of ``polynomials``
             holds a meta-variable of the forest or two nodes of one tree.
+        :raises ValueError: when ``drift_limit`` is not a number
+            ``>= 0``. Neither error grows the session.
         """
-        from repro.api.mutation import _ensure_added, extend_artifact
+        from repro.api import mutation
 
-        added = _ensure_added(polynomials)
+        where = "ProvenanceSession.extend"
+        limit = mutation._resolve_drift_limit(drift_limit, where)
+        added = mutation._ensure_added(polynomials)
         # Check the delta before the session grows: a rejected extend
         # must leave the session as it was. This extracts the delta's
         # columnar view, the one extraction of the extend: it is cached
@@ -340,15 +343,15 @@ class ProvenanceSession:
         # Grow the session first (repairing its caches in place): the
         # recompress fallback must see the full extended provenance.
         self.polynomials.extend(added)
-        return extend_artifact(
+        return mutation.extend_artifact(
             artifact,
             added,
             originals=self.polynomials,
             recompress=lambda: self.compress(
                 artifact.bound, algorithm=artifact.algorithm,
             ),
-            drift_limit=drift_limit,
-            where="ProvenanceSession.extend",
+            drift_limit=limit,
+            where=where,
         )
 
     @staticmethod
@@ -357,8 +360,8 @@ class ProvenanceSession:
     ) -> CompressedProvenance:
         """Reload a saved :class:`CompressedProvenance`, either format.
 
-        Binary ``.rpb`` containers load zero-copy via ``mmap`` (pass
-        ``mmap=False`` to read the bytes up front instead); JSON
+        Binary ``.rpb`` containers load without a parse via ``mmap``
+        (pass ``mmap=False`` to read the bytes up front instead); JSON
         envelopes parse as before. Formats are told apart by magic
         bytes, not extension.
         """

@@ -41,7 +41,7 @@ from repro.core.forest import AbstractionForest, CompatibilityError
 from repro.core.polynomial import PolynomialSet
 from repro.core.valuation import Valuation
 from repro.lint import cli as lint_cli
-from repro.options import EvalOptions
+from repro.options import ENGINES, EvalOptions
 from repro.scenarios.scenario import Scenario, ScenarioSuite
 
 __all__ = ["main"]
@@ -119,7 +119,7 @@ def _cmd_extend(args):
     """Append provenance to an artifact incrementally (`repro extend`)."""
     from repro.errors import CompressionError
 
-    artifact = CompressedProvenance.load(args.artifact, mmap=False)
+    artifact = CompressedProvenance.load(args.artifact)
     added = _load(args.added, PolynomialSet)
     try:
         if args.provenance:
@@ -457,7 +457,7 @@ def build_parser():
     compress.add_argument("--format", choices=["json", "bin", "auto"],
                           default="auto",
                           help="artifact encoding: json (portable tagged "
-                               "envelope), bin (zero-copy mmap container), "
+                               "envelope), bin (mmap-loaded binary container), "
                                "auto picks bin for .rpb/.bin paths "
                                "(default: auto; `ask`/`sweep` detect "
                                "either by magic bytes)")
@@ -537,7 +537,7 @@ def build_parser():
                             "(default: all)")
     sweep.add_argument("--seed", type=int, default=0,
                        help="--random seed (sweeps are reproducible)")
-    sweep.add_argument("--engine", choices=["dense", "delta", "auto"],
+    sweep.add_argument("--engine", choices=ENGINES,
                        default="auto",
                        help="batch evaluation engine: dense recomputes "
                             "every monomial per scenario, delta patches "

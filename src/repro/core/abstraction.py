@@ -115,7 +115,9 @@ def abstract_counts(polynomials, mapping):
     ``mapping`` is a leaf→representative dict as produced by
     :meth:`repro.core.forest.ValidVariableSet.mapping`; the counts come
     from a vectorized id-remap and exact row grouping over the set's
-    columnar view.
+    columnar view. They are structural: an upper bound on the sizes of
+    :func:`abstract`'s result, equal to them unless merged coefficients
+    cancel (a zero sum still counts here, and ``P↓S`` drops it).
     """
     polynomials = ensure_set(polynomials)
     id_mapping = VARIABLES.intern_mapping(mapping)

@@ -52,16 +52,16 @@ of the multiset (:func:`choose_engine`).
 
 from __future__ import annotations
 
+import copy
+
 import numpy
+
+from repro.options import ENGINES
 
 __all__ = [
     "CompiledPolynomialSet",
-    "ENGINES",
     "choose_engine",
 ]
-
-#: The valid ``engine=`` names accepted across the stack.
-ENGINES = ("dense", "delta", "auto")
 
 #: ``engine="auto"`` picks the delta path when the expected number of
 #: affected monomials per scenario — mean changed variables × average
@@ -415,6 +415,27 @@ class CompiledPolynomialSet:
                 self._poly_starts, self.num_variables,
             )
         self._baselines = {}
+
+    def copy(self):
+        """A compiled set equal to this one with its own arrays (never a
+        view of a mapped file), column map and caches. A built delta
+        index comes along with its own plan cache; its arrays are
+        shared, since :meth:`_DeltaIndex.extend` replaces them."""
+        copied = object.__new__(CompiledPolynomialSet)
+        for name in self.__slots__:
+            setattr(copied, name, getattr(self, name))
+        copied._columns = dict(self._columns)
+        copied._layers = [
+            tuple(None if part is None else part.copy() for part in layer)
+            for layer in self._layers
+        ]
+        copied._coeffs = self._coeffs.copy()
+        copied._poly_starts = self._poly_starts.copy()
+        copied._baselines = dict(self._baselines)
+        if self._delta is not None:
+            copied._delta = copy.copy(self._delta)
+            copied._delta.column_cache = dict(self._delta.column_cache)
+        return copied
 
     def _compute_mean_touches(self):
         """Average monomials touched per variable (exp-0 normalization

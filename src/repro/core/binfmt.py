@@ -1,14 +1,15 @@
-"""Zero-copy binary container for compression artifacts (``.rpb``).
+"""Binary container for compression artifacts (``.rpb``).
 
 The JSON envelope (:mod:`repro.core.serialize`) is the portable wire
 format, but it re-parses the whole artifact on every load — at the
 paper's "compress once, ask many" scale that parse dominates artifact
-start-up. This module defines a single-file binary container that loads
-in O(1): the columnar CSR factor arrays and the compiled evaluator's
-layer/coefficient arrays are stored as raw little-endian buffers at
-64-byte-aligned offsets, so :func:`read_artifact` can ``mmap`` the file
-and hand NumPy views *directly over the map* — no copies, no parse, and
-the OS pages data in on demand.
+start-up. This module defines a single-file binary container that
+loads without a parse: the columnar CSR factor arrays and the compiled
+evaluator's layer/coefficient arrays are stored as raw little-endian
+buffers at 64-byte-aligned offsets, so :func:`read_artifact` can
+``mmap`` the file, view the buffers in place and decode them into a
+plain array-backed set with a handful of array operations — no
+``Polynomial`` object is built, and the OS pages data in on demand.
 
 Layout::
 
@@ -35,7 +36,10 @@ ints that fit in an int64 buffer, and everything else (big ints,
 loaded artifact re-serializes and evaluates identically to the JSON
 round trip. Variable names travel in the header (interned ids are
 process-local); the CSR ``vids`` are stored as file-local column
-indexes and re-interned on load.
+indexes and re-interned on load. The stored evaluator multiplies each
+monomial's factors in the writer's id order, so a process whose ids
+order the variables differently compiles its own instead of adopting
+it, and answers bit for bit like a JSON load.
 
 Portability caveats: buffers are written in the native byte order
 (little-endian everywhere this project runs; the dtype strings in the
@@ -62,7 +66,6 @@ from repro.core.serialize import SerializeError
 __all__ = [
     "MAGIC",
     "SCHEMA_VERSION",
-    "BufferBackedPolynomialSet",
     "write_artifact",
     "read_artifact",
     "is_binary",
@@ -201,8 +204,8 @@ def write_artifact(artifact, path):
     binary container; returns ``path``.
 
     The artifact's compiled evaluator and columnar CSR arrays are laid
-    out for zero-copy reload (:func:`read_artifact`); the forest, the
-    cut, the stats and the variable names ride in the JSON header.
+    out as raw buffers for :func:`read_artifact`; the forest, the cut,
+    the stats and the variable names ride in the JSON header.
     """
     from repro.core import serialize
     from repro.core.interning import VARIABLES
@@ -388,8 +391,16 @@ def _decode_exact(entries):
     return table
 
 
-def _decode_coeffs(kinds, f64, i64, exact):
-    """The exact Python coefficient list from the kind-tagged buffers."""
+def _decode_coeffs(arrays, exact):
+    """The exact Python coefficient list from the kind-tagged buffers:
+    one ``tolist()`` when every row has the same raw buffer's kind."""
+    kinds = _get(arrays, "cm.coeff_kind")
+    f64 = _get(arrays, "cm.coeff_f64")
+    i64 = _get(arrays, "cm.coeff_i64")
+    if (kinds == _COEFF_FLOAT).all():
+        return f64.tolist()
+    if (kinds == _COEFF_INT64).all():
+        return i64.tolist()
     float_list = f64.tolist()
     int_list = i64.tolist()
     coeffs = []
@@ -431,119 +442,40 @@ def _check_columnar(arrays, counts):
         raise SerializeError("inconsistent columnar buffers")
 
 
-_READ_ONLY = (
-    "a loaded artifact's polynomial set is read-only; copy it with "
-    "PolynomialSet(list(...)) to modify"
-)
+def _decode_columnar(arrays, variables, exact):
+    """``(columnar, in_order)``: the container's CSR arrays with their
+    columns re-interned, as an extraction of the materialized
+    polynomials would give them. Each row's factors are re-sorted only
+    when this process's ids do not increase in file order (``in_order``
+    is ``False``), never in the writer's own process."""
+    from repro.core.columnar import ColumnarMultiset
+    from repro.core.interning import VARIABLES
 
-
-class BufferBackedPolynomialSet(PolynomialSet):
-    """A :class:`PolynomialSet` view over a loaded binary container.
-
-    The compiled evaluator is built zero-copy over the container's
-    buffers at load time, so answering scenarios never touches Python
-    monomial objects; counts and variables come from the header. The
-    columnar view (:meth:`columnar`) is read from the buffers on first
-    use, and the ``Polynomial`` objects — needed only for exact scalar
-    evaluation, equality, or JSON — are materialized from it on first
-    access to :attr:`polynomials`. Read-only: :meth:`append` and
-    :meth:`extend` raise (extending the artifact copies the columnar
-    view into a writable set — see :func:`repro.api.mutation.extend_artifact`).
-    """
-
-    def __init__(
-        self, variables, counts, arrays, exact, compiled, mmap_active=False
-    ):
-        # Parent slots, set directly: nothing is extracted or built yet.
-        self._polynomials = None
-        self._vids = None
-        self._compiled = compiled
-        self._columnar = None
-        self._file_variables = tuple(variables)
-        self._count_polynomials = int(counts["polynomials"])
-        self._count_monomials = int(counts["monomials"])
-        self._arrays = arrays
-        self._exact = exact
-        #: ``True`` when the buffers view an ``mmap`` of the container
-        #: file (zero-copy; the file's bytes must not be rewritten in
-        #: place), ``False`` when they view an eagerly-read bytes object.
-        self.mmap_active = bool(mmap_active)
-
-    def columnar(self):
-        """The container's CSR arrays in this process (read once, cached).
-
-        Columns are re-interned, the factors of each row sorted by the
-        new ids (the interning order can differ from the writer's) and
-        the coefficients decoded through :func:`_decode_coeffs`: the
-        arrays an extraction of the materialized polynomials would
-        give, with no ``Polynomial`` built. Rows keep the file's order,
-        which is canonical: it sorts by variable name, not by id.
-        """
-        cm = self._columnar
-        if cm is not None:
-            return cm
-        from repro.core.columnar import ColumnarMultiset
-        from repro.core.interning import VARIABLES
-
-        arrays = self._arrays
-        cols = _get(arrays, "cm.vids")
-        exps = _get(arrays, "cm.exps")
-        row_starts = _get(arrays, "cm.row_starts")
-        remap = numpy.asarray(
-            [VARIABLES.intern(name) for name in self._file_variables] or [0],
-            dtype=numpy.intp,
+    cols = _get(arrays, "cm.vids")
+    exps = _get(arrays, "cm.exps")
+    row_starts = _get(arrays, "cm.row_starts")
+    ids = numpy.asarray(
+        [VARIABLES.intern(name) for name in variables], dtype=numpy.intp
+    )
+    if cols.size and (cols.min() < 0 or cols.max() >= len(ids)):
+        raise SerializeError(
+            "column index out of range for the container's variables"
         )
-        try:
-            vids = (
-                remap[cols] if cols.size else numpy.zeros(0, dtype=numpy.intp)
-            )
-        except IndexError:
-            raise SerializeError(
-                "column index out of range for the container's variables"
-            ) from None
+    vids = ids[cols]
+    in_order = bool((ids[1:] > ids[:-1]).all())
+    if not in_order:
         rows = numpy.repeat(
             numpy.arange(len(row_starts) - 1, dtype=numpy.intp),
             numpy.diff(row_starts),
         )
         by_id = numpy.lexsort((vids, rows))
-        cm = ColumnarMultiset.from_arrays(
-            vids[by_id],
-            exps[by_id],
-            row_starts,
-            _get(arrays, "cm.poly_starts"),
-            _decode_coeffs(
-                _get(arrays, "cm.coeff_kind"),
-                _get(arrays, "cm.coeff_f64"),
-                _get(arrays, "cm.coeff_i64"),
-                self._exact,
-            ),
-        )
-        self._columnar = cm
-        return cm
-
-    def append(self, polynomial):
-        raise TypeError(_READ_ONLY)
-
-    def extend(self, polynomials):
-        raise TypeError(_READ_ONLY)
-
-    def __len__(self):
-        return self._count_polynomials
-
-    @property
-    def num_monomials(self):
-        return self._count_monomials
-
-    def variable_ids(self):
-        vids = self._vids
-        if vids is None:
-            from repro.core.interning import VARIABLES
-
-            vids = frozenset(
-                VARIABLES.intern(name) for name in self._file_variables
-            )
-            self._vids = vids
-        return vids
+        vids = vids[by_id]
+        exps = exps[by_id]
+    columnar = ColumnarMultiset.from_arrays(
+        vids, exps, row_starts, _get(arrays, "cm.poly_starts"),
+        _decode_coeffs(arrays, exact),
+    )
+    return columnar, in_order
 
 
 def _load_buffer(path, use_mmap):
@@ -562,12 +494,18 @@ def _load_buffer(path, use_mmap):
 def read_artifact(path, mmap=True):
     """Load a binary artifact container written by :func:`write_artifact`.
 
-    ``mmap=True`` (the default) maps the file and builds the compiled
-    evaluator over views of the map — O(1) load however large the
-    artifact, with the OS paging data in on demand. The map keeps the
-    loaded bytes alive even if the file is renamed over or unlinked;
-    only an in-place rewrite of the file reaches it. Pass
-    ``mmap=False`` to read everything up front.
+    The container decodes into a plain array-backed
+    :class:`~repro.core.polynomial.PolynomialSet`, with no parse and no
+    ``Polynomial`` object (:func:`_decode_columnar`). The set adopts
+    the file's compiled evaluator only when it is the one this process
+    would compile — its columns are the file's variables and their ids
+    increase — and compiles its own on first use otherwise, so answers
+    never depend on the writer's interning order.
+
+    ``mmap=True`` (the default) maps the file, and the arrays that need
+    no decoding view the map. The map keeps the loaded bytes alive even
+    if the file is renamed over or unlinked; only an in-place rewrite
+    of the file reaches it. Pass ``mmap=False`` to read it up front.
     """
     from repro.api.artifact import CompressedProvenance
     from repro.core import serialize
@@ -581,22 +519,22 @@ def read_artifact(path, mmap=True):
         )
     arrays = _views(header, buf, origin)
     try:
-        compiled = _compiled_from(header["compiled"], arrays)
-        counts = header["counts"]
-        _check_columnar(arrays, counts)
-        polynomials = BufferBackedPolynomialSet(
-            header["variables"],
-            counts,
-            arrays,
-            _decode_exact(header.get("exact_coeffs", ())),
-            compiled,
-            mmap_active=isinstance(buf, _mmap.mmap),
+        variables = header["variables"]
+        _check_columnar(arrays, header["counts"])
+        columnar, in_order = _decode_columnar(
+            arrays, variables, _decode_exact(header.get("exact_coeffs", ()))
+        )
+        meta = header["compiled"]
+        compiled = (
+            _compiled_from(meta, arrays)
+            if in_order and meta["columns"] == variables
+            else None
         )
         forest = serialize.forest_from_dict(header["forest"])
         vvs = serialize.vvs_from_dict({"labels": header["vvs"]}, forest)
         stats = header["stats"]
         return CompressedProvenance(
-            polynomials,
+            PolynomialSet.from_columnar(columnar, compiled=compiled),
             forest,
             vvs,
             algorithm=header["algorithm"],
@@ -606,6 +544,7 @@ def read_artifact(path, mmap=True):
             monomial_loss=stats["monomial_loss"],
             variable_loss=stats["variable_loss"],
             revision=stats.get("revision", 0),
+            mmap_active=isinstance(buf, _mmap.mmap),
         )
     except (KeyError, TypeError, IndexError) as error:
         raise SerializeError(f"{path}: corrupt artifact container: {error}") from error

@@ -466,12 +466,16 @@ class PolynomialSet:
 
     A set is backed by ``Polynomial`` objects, by a columnar view
     (:meth:`from_columnar` — what :func:`repro.core.abstraction.abstract`
-    returns), or both. A set backed by arrays answers ``len``, the
+    returns and what :func:`repro.core.binfmt.read_artifact` decodes a
+    ``.rpb`` into), or both. A set backed by arrays answers ``len``, the
     measures, :meth:`columnar` and :meth:`compiled` from them and builds
     its ``Polynomial`` objects only when :attr:`polynomials` is first
     read (iteration, indexing, equality), through
     :meth:`ColumnarMultiset.to_polynomial_set
-    <repro.core.columnar.ColumnarMultiset.to_polynomial_set>`.
+    <repro.core.columnar.ColumnarMultiset.to_polynomial_set>`. Fresh
+    and loaded sets are the same class, and every one of them accepts
+    :meth:`append` and :meth:`extend`; an artifact extends a
+    :meth:`copy` of its set, never the set itself.
 
     >>> ps = PolynomialSet([Polynomial.variable("x"), Polynomial.variable("x")])
     >>> ps.num_monomials, ps.num_variables
@@ -490,15 +494,30 @@ class PolynomialSet:
         self._columnar = None
 
     @classmethod
-    def from_columnar(cls, columnar):
+    def from_columnar(cls, columnar, compiled=None):
         """A set backed by the :class:`~repro.core.columnar.ColumnarMultiset`
-        ``columnar`` (adopted, not copied), its objects built on demand."""
+        ``columnar`` (adopted, not copied), its objects built on demand,
+        and by ``compiled``, an evaluator of exactly these rows, if given."""
         self = cls.__new__(cls)
         self._polynomials = None
         self._vids = None
-        self._compiled = None
+        self._compiled = compiled
         self._columnar = columnar
         return self
+
+    def copy(self):
+        """A set equal to this one that shares neither anything
+        :meth:`extend` mutates nor a buffer of a mapped file. It carries
+        every cache built here (objects, columnar view, compiled set and
+        delta index), so extending it repairs them in place."""
+        copied = PolynomialSet.from_columnar(
+            None if self._columnar is None else self._columnar.copy(),
+            None if self._compiled is None else self._compiled.copy(),
+        )
+        if self._polynomials is not None:
+            copied._polynomials = list(self._polynomials)
+        copied._vids = self._vids
+        return copied
 
     @property
     def polynomials(self):

@@ -267,8 +267,8 @@ def load_path(path, mmap=True):
     """Load a serialized payload from a file, auto-detecting the envelope.
 
     Files starting with the :data:`repro.core.binfmt.MAGIC` bytes are
-    binary artifact containers (read zero-copy, via ``mmap`` unless
-    disabled); anything else is parsed as a tagged JSON envelope. This
+    binary artifact containers (decoded without a parse, via ``mmap``
+    unless disabled); anything else is parsed as a tagged JSON envelope. This
     is what the CLI's ``ask``/``sweep``/``inspect`` loaders call, so
     both formats are accepted everywhere a path is.
     """

@@ -25,7 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["EvalOptions"]
+__all__ = ["ENGINES", "EvalOptions"]
+
+#: The batch engines every ``engine=`` accepts: the dense matrix path,
+#: the sparse delta path, and ``"auto"``, which picks between them.
+ENGINES = ("dense", "delta", "auto")
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,13 +50,10 @@ class EvalOptions:
     engine: str = "auto"
     workers: int | None = None
 
-    _ENGINES = ("dense", "delta", "auto")
-
     def __post_init__(self) -> None:
-        if self.engine not in self._ENGINES:
+        if self.engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of "
-                f"{self._ENGINES}"
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         if self.workers is not None and self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers!r}")

@@ -70,9 +70,9 @@ from collections import deque
 
 import numpy
 
-from repro.core.batch import ENGINES as _ENGINES
 from repro.core.valuation import Valuation
 from repro.faults import inject
+from repro.options import ENGINES
 from repro.scenarios.sweep import DEFAULT_CHUNK_SIZE, Sweep
 from repro.util.retry import RetryPolicy
 
@@ -177,9 +177,9 @@ def _resolve_engine(compiled, scenarios, engine):
         return compiled.resolve_engine(
             engine, mean_changes=scenarios.mean_changes()
         )
-    if engine not in _ENGINES:
+    if engine not in ENGINES:
         raise ValueError(
-            f"unknown engine {engine!r}; expected one of {_ENGINES}"
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
     return engine
 

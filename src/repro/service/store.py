@@ -8,12 +8,14 @@ result always yields the same id, and re-uploading an identical
 artifact is a no-op that returns the existing id.
 
 Serving state is a size-bounded LRU of :class:`~repro.service.warm.\
-WarmArtifact` entries keyed by that hash. Entries are **mmap-backed**:
-evicting one drops Python wrappers and lets the OS reclaim the page
-cache, and re-admitting it is an O(1) re-map plus building the cut's
-lift index (a fraction of a millisecond) — no deserialization of
-polynomial objects either way. Hit/miss/eviction counters feed
-``GET /healthz``.
+WarmArtifact` entries keyed by that hash. Entries are loaded with
+``mmap``: evicting one drops its decoded arrays and lets the OS reclaim
+the page cache, and re-admitting it re-maps the file, decodes its CSR
+arrays (:func:`~repro.core.binfmt.read_artifact`, well under a
+millisecond at TPC-H scale in the writer's process) and builds the
+cut's lift index — no polynomial objects either way. Extending an
+entry extends a copy of its set, so a resident entry always answers
+as its file does. Hit/miss/eviction counters feed ``GET /healthz``.
 
 The store is crash-safe. Start-up scans the spool: orphaned
 ``mkstemp`` temp files (a writer killed mid-``put``) are reaped, and

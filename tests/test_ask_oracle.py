@@ -191,8 +191,8 @@ def fixed_suite(groups, free):
 class TestServedAnswersMatchOracle:
     def test_created_and_extended_artifacts(self, tmp_path):
         """Single (micro-batched) and batch asks of artifacts created
-        over HTTP, and of one after an HTTP extend, whose copy-on-extend
-        compiles the union from scratch."""
+        over HTTP, and of one after an HTTP extend, which repairs a copy
+        of the stored artifact's compiled set."""
         provenance = {
             name: texts for name, (texts, _, _) in SERVED.items()
         }

@@ -7,6 +7,7 @@ sidecars (Fractions, big ints), and anything malformed raises a clear
 :class:`SerializeError` instead of a deep NumPy/KeyError.
 """
 
+import json
 import os
 import pickle
 import subprocess
@@ -20,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.artifact import CompressedProvenance
 from repro.api.session import ProvenanceSession
-from repro.api.mutation import _writable_polynomials
 from repro.core import binfmt, serialize
 from repro.core.columnar import ColumnarMultiset
 from repro.core.forest import AbstractionForest
@@ -313,7 +313,7 @@ class TestLazyMaterialization:
         artifact.save(path)
         loaded = CompressedProvenance.load(path)
         polys = loaded.polynomials
-        assert isinstance(polys, binfmt.BufferBackedPolynomialSet)
+        assert type(polys) is PolynomialSet
         loaded.ask_many(probe_scenarios(artifact, count=2))
         assert len(polys) == len(artifact.polynomials)
         assert polys.num_monomials == artifact.polynomials.num_monomials
@@ -323,33 +323,55 @@ class TestLazyMaterialization:
         assert polys._polynomials is not None
         assert polys == artifact.polynomials
 
-    def test_append_raises(self, artifact, tmp_path):
+    @pytest.mark.parametrize("use_mmap", [True, False])
+    @pytest.mark.parametrize("mutate", ["append", "extend"])
+    def test_mutated_loaded_set_stays_consistent(
+        self, artifact, tmp_path, mutate, use_mmap
+    ):
+        """A loaded set takes ``append`` and ``extend`` like any other:
+        its ``len`` and ``num_monomials`` agree with its polynomials and
+        its answers widen with it, while the file and a fresh load of it
+        stay as they were."""
         path = str(tmp_path / "a.rpb")
         artifact.save(path)
-        loaded = CompressedProvenance.load(path)
-        with pytest.raises(TypeError, match="read-only"):
-            loaded.polynomials.append(Polynomial([]))
-
-    def test_extend_raises_and_changes_nothing(self, artifact, tmp_path):
-        """Extending a loaded set fails before anything changes —
-        directly or through a session built over it — so its counts and
-        answers stay those of the file."""
-        path = str(tmp_path / "a.rpb")
-        artifact.save(path)
-        loaded = CompressedProvenance.load(path)
+        with open(path, "rb") as handle:
+            saved = handle.read()
+        loaded = CompressedProvenance.load(path, mmap=use_mmap)
         polys = loaded.polynomials
         scenarios = [{}, *probe_scenarios(artifact, count=3)]
-        before = [answer.values for answer in loaded.ask_many(scenarios)]
-        counts = (len(polys), polys.num_monomials)
-        with pytest.raises(TypeError, match="read-only"):
-            polys.extend(parse_set(["3*zz + 2"]))
-        with pytest.raises(TypeError, match="read-only"):
-            ProvenanceSession(polys, loaded.forest).extend(
-                parse_set(["3*zz + 2"]), loaded
-            )
-        assert (len(polys), polys.num_monomials) == counts
-        assert [answer.values for answer in loaded.ask_many(scenarios)] == before
-        assert len(loaded.ask({}).values) == counts[0]
+        loaded.ask_many(scenarios)  # builds the compiled set and its index
+        added = parse_set(["3*zz + 2", "0.5*b1*m1*zz"])
+        if mutate == "append":
+            for polynomial in added:
+                polys.append(polynomial)
+        else:
+            polys.extend(added)
+        total = len(artifact.polynomials) + len(added)
+        assert len(polys) == len(list(polys)) == total
+        assert polys.num_monomials == sum(p.num_monomials for p in polys)
+        assert polys.num_monomials == (
+            artifact.polynomials.num_monomials + added.num_monomials
+        )
+        assert polys.variables == (
+            artifact.polynomials.variables | added.variables
+        )
+        assert all(
+            len(answer.values) == total
+            for answer in loaded.ask_many(scenarios)
+        )
+        assert numpy.array_equal(
+            polys.evaluate_batch(scenarios),
+            PolynomialSet([*artifact.polynomials, *added]).evaluate_batch(
+                scenarios
+            ),
+        )
+        with open(path, "rb") as handle:
+            assert handle.read() == saved
+        fresh = CompressedProvenance.load(path)
+        assert fresh == artifact
+        assert [answer.values for answer in fresh.ask_many(scenarios)] == [
+            answer.values for answer in artifact.ask_many(scenarios)
+        ]
 
     def test_views_are_read_only(self, artifact, tmp_path):
         path = str(tmp_path / "a.rpb")
@@ -393,9 +415,24 @@ def load_json_twin(path):
     return CompressedProvenance.load(path[:-len(".rpb")] + ".json", mmap=False)
 
 
+def file_variables(path):
+    """The variable names a container's header lists, in file order."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    length = int.from_bytes(data[8:12], "little")
+    return json.loads(data[12:12 + length])["variables"]
+
+
+def run_python(source, *args):
+    """Run ``source`` in a fresh interpreter with ``src`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    subprocess.run([sys.executable, "-c", source, *args], env=env, check=True)
+
+
 class TestForeignCopyOnExtend:
-    """Copy-on-extend of a ``.rpb`` written by a process that interned
-    its variables in another order: the copied arrays are those of the
+    """Extending a ``.rpb`` written by a process that interned its
+    variables in another order: the copied arrays are those of the
     materialized objects, and the extended artifact saves to the bytes
     of the object path."""
 
@@ -403,12 +440,7 @@ class TestForeignCopyOnExtend:
     def foreign(self, tmp_path):
         tag = uuid.uuid4().hex[:8]
         path = str(tmp_path / "foreign.rpb")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        subprocess.run(
-            [sys.executable, "-c", _FOREIGN_WRITER, path, tag],
-            env=env, check=True,
-        )
+        run_python(_FOREIGN_WRITER, path, tag)
         names = [
             f"{n}_{tag}" for n in ("M", "SB", "b1", "b2", "b3", "m1", "m2", "x")
         ]
@@ -419,12 +451,9 @@ class TestForeignCopyOnExtend:
     def test_copied_arrays_equal_extraction(self, foreign):
         path, _ = foreign
         loaded = CompressedProvenance.load(path)
-        file_ids = [
-            VARIABLES.lookup(name)
-            for name in loaded.polynomials._file_variables
-        ]
+        file_ids = [VARIABLES.lookup(name) for name in file_variables(path)]
         assert file_ids != sorted(file_ids)  # rows must be re-sorted
-        copied = _writable_polynomials(loaded).columnar()
+        copied = loaded.polynomials.copy().columnar()
         assert loaded.polynomials._polynomials is None
         materialized = list(CompressedProvenance.load(path).polynomials)
         from_names = list(load_json_twin(path).polynomials)
@@ -475,6 +504,186 @@ class TestForeignCopyOnExtend:
                 contents.add(handle.read())
         assert len(contents) == 1
         assert via_arrays.artifact == results["names"].artifact
+
+
+#: Writes an artifact of 3-factor monomials, uncompressed (the bound
+#: holds the whole set), from a process that interns its 16 names in
+#: reverse name order (argv: ``.rpb`` path, tag).
+_REVERSED_WRITER = """
+import sys
+from repro.api.session import ProvenanceSession
+from repro.core.interning import VARIABLES
+from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
+
+path, tag = sys.argv[1:]
+bs = [f"b{i}_{tag}" for i in range(6)]
+ms = [f"m{i}_{tag}" for i in range(6)]
+xs = [f"x{i}_{tag}" for i in range(4)]
+for name in sorted(bs + ms + xs, reverse=True):
+    VARIABLES.intern(name)
+polys = PolynomialSet([
+    Polynomial({
+        Monomial.of(b, m, x): 1.0 + 0.1 * i + 0.01 * j
+        for i, b in enumerate(bs) for j, m in enumerate(ms)
+    })
+    for x in xs
+])
+forest = [
+    (f"SB_{tag}", [(f"SB1_{tag}", bs[:3]), (f"SB2_{tag}", bs[3:])]),
+    (f"SM_{tag}", [(f"SM1_{tag}", ms[:3]), (f"SM2_{tag}", ms[3:])]),
+]
+artifact = ProvenanceSession(polys, forest).compress(
+    polys.num_monomials, algorithm="greedy"
+)
+artifact.save(path)
+artifact.save(path[:-len(".rpb")] + ".json")
+"""
+
+
+class TestForeignOrder:
+    """A ``.rpb`` answers like its JSON twin, bit for bit, in a process
+    whose ids order the variables otherwise than the writer's did: the
+    file's evaluator multiplies factors in the writer's order, so the
+    load compiles its own."""
+
+    def test_rpb_answers_equal_json_answers(self, tmp_path):
+        import random
+
+        tag = uuid.uuid4().hex[:8]
+        path = str(tmp_path / "reversed.rpb")
+        run_python(_REVERSED_WRITER, path, tag)
+        leaves = [f"{kind}{i}_{tag}" for kind in "bm" for i in range(6)]
+        names = leaves + [f"x{i}_{tag}" for i in range(4)]
+        for name in sorted(names):  # this process interns in name order
+            VARIABLES.intern(name)
+        loaded = CompressedProvenance.load(path)
+        twin = load_json_twin(path)
+        assert loaded.polynomials.num_monomials == 144
+        rng = random.Random(7)
+        scenarios = [
+            {name: rng.uniform(0.5, 1.5) for name in names}
+            for _ in range(400)
+        ]
+
+        def values(artifact):
+            return [answer.values for answer in artifact.ask_many(scenarios)]
+
+        assert values(loaded) == values(twin)
+        delta = [
+            f"{0.5 + i}*b{i}_{tag}*m{5 - i}_{tag}*x{i % 4}_{tag}"
+            for i in range(6)
+        ]
+        extended = loaded.refresh(parse_set(delta), drift_limit=float("inf"))
+        twin_extended = twin.refresh(
+            parse_set(delta), drift_limit=float("inf")
+        )
+        assert values(extended.artifact) == values(twin_extended.artifact)
+
+
+#: Coefficients per family for :data:`_DECODE_SCRIPT`: one buffer kind
+#: each, a mix of the two raw buffers, and the exact sidecar.
+_DECODE_SCRIPT = """
+import sys
+from fractions import Fraction
+from repro.api.artifact import CompressedProvenance
+from repro.core.columnar import ColumnarMultiset
+from repro.core.forest import AbstractionForest
+from repro.core.interning import VARIABLES
+from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
+from repro.core.tree import AbstractionTree
+
+FAMILIES = {
+    "float": (1.5, -0.25, 3.0, 1e-05),
+    "int": (2, -3, 1, 7),
+    "mixed": (2, -0.5, 3, 1.25),
+    "exact": (10**30, Fraction(1, 3), -7, Fraction(-5, 2)),
+}
+
+
+def same(actual, expected):
+    return (
+        (actual.num_polynomials, actual.num_monomials)
+        == (expected.num_polynomials, expected.num_monomials)
+        and all(
+            getattr(actual, name).tolist() == getattr(expected, name).tolist()
+            and getattr(actual, name).dtype == getattr(expected, name).dtype
+            for name in ("vids", "exps", "row_starts", "row_poly", "poly_starts")
+        )
+        and [(type(c), c) for c in actual.coeffs]
+        == [(type(c), c) for c in expected.coeffs]
+    )
+
+
+def load(path, family):
+    loaded = CompressedProvenance.load(f"{path}.{family}.rpb")
+    twin = CompressedProvenance.load(f"{path}.{family}.json")
+    return loaded.polynomials.columnar(), twin
+
+
+mode, path, tag = sys.argv[1:]
+a, b, c, x, y = (f"{name}_{tag}" for name in "abcxy")
+if mode == "write":
+    for name in sorted((a, b, c, x, y), reverse=True):
+        VARIABLES.intern(name)
+    forest = AbstractionForest([AbstractionTree.from_nested(("R", [a, b, c]))])
+    for family, k in FAMILIES.items():
+        polys = PolynomialSet([
+            Polynomial.from_terms([
+                (k[0], Monomial.of(a, x)), (k[1], Monomial.of(c, (y, 2))),
+                (k[2], Monomial.ONE), (k[3], Monomial.of(b, x, y)),
+            ]),
+            Polynomial(),
+            Polynomial.from_terms([(k[1], Monomial.of(a, y)), (k[0], Monomial.of(x))]),
+        ])
+        artifact = CompressedProvenance(
+            polys, forest, forest.root_vvs(), algorithm="greedy",
+            bound=polys.num_monomials, original_size=polys.num_monomials,
+            original_granularity=polys.num_variables, monomial_loss=0,
+            variable_loss=0,
+        )
+        artifact.save(f"{path}.{family}.rpb")
+        artifact.save(f"{path}.{family}.json")
+        decoded, _ = load(path, family)
+        assert same(decoded, ColumnarMultiset(polys)), family
+else:  # a fresh process: the load interns the names in file order
+    for family in FAMILIES:
+        decoded, twin = load(path, family)
+        extracted = ColumnarMultiset(PolynomialSet(list(twin.polynomials)))
+        assert same(decoded, extracted), family
+"""
+
+
+class TestEagerDecode:
+    """The decoded columnar view equals an extraction of the
+    materialized polynomials, array for array and coefficient type for
+    type: in the writer's process, in a fresh one, and under a foreign
+    interning order."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        tag = uuid.uuid4().hex[:8]
+        path = str(tmp_path_factory.mktemp("decode") / "family")
+        run_python(_DECODE_SCRIPT, "write", path, tag)  # checks the writer
+        run_python(_DECODE_SCRIPT, "check", path, tag)  # a fresh process
+        return path, tag
+
+    @pytest.mark.parametrize("family", ["float", "int", "mixed", "exact"])
+    def test_foreign_order(self, written, family):
+        path, tag = written
+        for name in "abcxy":  # this process interns in name order
+            VARIABLES.intern(f"{name}_{tag}")
+        loaded = CompressedProvenance.load(f"{path}.{family}.rpb")
+        file_ids = [
+            VARIABLES.lookup(name)
+            for name in file_variables(f"{path}.{family}.rpb")
+        ]
+        assert file_ids != sorted(file_ids)
+        twin = CompressedProvenance.load(f"{path}.{family}.json")
+        assert_same_arrays(
+            loaded.polynomials.columnar(),
+            ColumnarMultiset(PolynomialSet(list(twin.polynomials))),
+        )
+        assert list(loaded.polynomials) == list(twin.polynomials)
 
 
 class TestCompiledTransport:

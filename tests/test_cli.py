@@ -168,9 +168,9 @@ class TestBinaryFormat:
             main(["ask", str(bad), "--set", "p1=0.5"])
 
     def test_extend_of_binary_artifact_is_silent(self, files, tmp_path):
-        """Copy-on-extend of a ``.rpb`` writes nothing to stderr. In a
-        fresh interpreter, so no earlier extend in this process can have
-        used up a once-per-process warning."""
+        """Extending a ``.rpb`` writes nothing to stderr. In a fresh
+        interpreter, so no earlier extend in this process can have used
+        up a once-per-process warning."""
         _, provenance, forest = files
         artifact = str(tmp_path / "artifact.rpb")
         assert main([

@@ -19,11 +19,11 @@ import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import ENGINES, choose_engine
+from repro.core.batch import choose_engine
 from repro.core.parser import parse_set
 from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
 from repro.core.valuation import Valuation
-from repro.options import EvalOptions
+from repro.options import ENGINES, EvalOptions
 from repro.scenarios.analysis import evaluate_scenarios, sensitivity, top_k
 from repro.scenarios.parallel import evaluate_scenarios_parallel
 from repro.scenarios.sweep import Sweep

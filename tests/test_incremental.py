@@ -8,10 +8,10 @@ provenance under the same cut from scratch. The Hypothesis suite pins
 that across float, Fraction and big-int coefficient families (the
 float family on a base of more than 512 monomials, so a large base
 and a small delta are abstracted side by side); the
-deterministic tests cover the drift-triggered recompress fallback, the
-copy-on-extend route for mmap-backed artifacts, revision plumbing
-through both serialization formats, and the unified MutationResult
-shape (named fields only).
+deterministic tests cover the drift-triggered recompress fallback, an
+input artifact left unchanged by every extend whatever its origin,
+revision plumbing through both serialization formats, and the unified
+MutationResult shape (named fields only).
 """
 
 import warnings
@@ -297,6 +297,44 @@ class TestColumnarExtend:
         assert extended.coeffs == fresh.coeffs
 
 
+class TestLossAccounting:
+    def test_losses_agree_with_sizes_when_coefficients_cancel(self):
+        """``2*a*x - 2*b*x`` merges to a zero coefficient under ``ab``, so
+        ``P↓S`` drops it along with ``x``; the losses count the set the
+        artifact holds, before and after a refresh."""
+        from repro.core.parser import parse_set
+
+        session = ProvenanceSession.from_strings(
+            ["2*a*x - 2*b*x + 3*y", "a*z + c*z"],
+            forest=[("T", [("ab", ["a", "b"]), "c"])],
+        )
+        artifact = session.compress(4, algorithm="optimal")
+        assert [str(p) for p in artifact.polynomials] == [
+            "3*y", "ab*z + c*z",
+        ]
+        refreshed = artifact.refresh(
+            parse_set(["b*z + 5*y"]), drift_limit=float("inf")
+        ).artifact
+        for current in (artifact, refreshed):
+            stats = current.stats()
+            assert stats["monomial_loss"] == (
+                stats["original_size"] - stats["abstracted_size"]
+            )
+            assert stats["variable_loss"] == (
+                stats["original_granularity"]
+                - stats["abstracted_granularity"]
+            )
+        assert artifact.stats()["original_size"] == 5
+        assert artifact.stats()["abstracted_size"] == 3
+        assert artifact.stats()["monomial_loss"] == 2
+        assert artifact.stats()["original_granularity"] == 6
+        assert artifact.stats()["abstracted_granularity"] == 4
+        assert artifact.stats()["variable_loss"] == 2
+        assert refreshed.stats()["original_size"] == 7
+        assert refreshed.stats()["abstracted_size"] == 5
+        assert refreshed.stats()["monomial_loss"] == 2
+
+
 # ---------------------------------------------------------------------------
 # Drift fallback
 # ---------------------------------------------------------------------------
@@ -342,6 +380,25 @@ class TestDriftFallback:
         with pytest.raises(ValueError, match="drift_limit"):
             session.extend(PolynomialSet([]), artifact, drift_limit=-0.5)
 
+    @pytest.mark.parametrize("limit", [-1, "x", float("nan")])
+    def test_refused_limit_leaves_the_session_as_it_was(self, limit):
+        """A drift limit that is not a number ``>= 0`` is refused before
+        the session grows; NaN, which would switch the drift guard
+        off, is refused too."""
+        session, artifact = self.setup_artifact()
+        sizes = len(session.polynomials), session.polynomials.num_monomials
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                session.extend(
+                    serialize_free_delta(), artifact, drift_limit=limit
+                )
+            assert (
+                len(session.polynomials), session.polynomials.num_monomials
+            ) == sizes
+        with pytest.raises(ValueError):
+            artifact.refresh(serialize_free_delta(), drift_limit=limit)
+        assert session.compress(artifact.bound, algorithm="greedy") == artifact
+
     def test_internal_forest_labels_rejected(self):
         session, artifact = self.setup_artifact()
         meta = PolynomialSet([Polynomial({Monomial([("SB1", 1)]): 1})])
@@ -384,42 +441,84 @@ def serialize_free_delta():
 
 
 # ---------------------------------------------------------------------------
-# Copy-on-extend for mmap-backed artifacts
+# Extend never mutates its input
 # ---------------------------------------------------------------------------
 
 
-class TestCopyOnExtend:
-    def test_mmap_artifact_extends_via_copy_without_warning(self, tmp_path):
-        base = PolynomialSet([anchor_polynomial()])
+NON_MUTATION_DELTA = PolynomialSet([
+    Polynomial({
+        Monomial([("b1", 1), ("f0", 1)]): 2.0,
+        Monomial([("b3", 1), ("m2", 1), ("n0", 1)]): 0.5,
+    }),
+    Polynomial({Monomial([("m1", 2)]): 3.0}),
+])
+
+
+class TestExtendNeverMutates:
+    """``session.extend`` and ``refresh`` leave the input artifact as it
+    was, however it was made: compressed in this process, loaded from
+    JSON, or loaded from ``.rpb`` with or without ``mmap``."""
+
+    def make_input(self, source, tmp_path):
+        base = PolynomialSet([
+            anchor_polynomial(),
+            Polynomial({Monomial([("b2", 1), ("f1", 1)]): 1.5,
+                        Monomial([("m3", 1)]): -2.0}),
+        ])
         session, artifact = compress_base(base)
-        path = tmp_path / "artifact.rpb"
-        artifact.save(path, format="bin")
+        if source == "fresh":
+            return session, artifact
+        name = "artifact.json" if source == "json" else "artifact.rpb"
+        artifact.save(tmp_path / name)
+        loaded = CompressedProvenance.load(
+            tmp_path / name, mmap=source != "rpb-read"
+        )
+        assert loaded.mmap_active is (source == "rpb-mmap")
+        return session, loaded
 
-        loaded = CompressedProvenance.load(path, mmap=True)
-        assert loaded.mmap_active
-        delta = PolynomialSet([Polynomial({
-            Monomial([("b1", 1), ("f0", 1)]): 2,
-        })])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = loaded.refresh(delta, drift_limit=float("inf"))
-        assert caught == []
-        assert first.path == "repaired"
-        assert not first.artifact.mmap_active  # the copy is writable
+    def observe(self, artifact, tmp_path):
+        saved = artifact.save(tmp_path / "observed.rpb")
+        with open(saved, "rb") as handle:
+            content = handle.read()
+        answers = [
+            [answer.values for answer in artifact.ask_many(
+                SCENARIOS, options=EvalOptions(engine=engine))]
+            for engine in ("dense", "delta")
+        ]
+        return artifact.stats(), len(artifact), content, answers
 
-        combined = PolynomialSet(base.polynomials + delta.polynomials)
-        assert first.artifact.polynomials == abstract(
-            combined, artifact.vvs)
-
-        # A second mmap-backed refresh is silent too.
-        again = CompressedProvenance.load(path, mmap=True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            again.refresh(delta, drift_limit=float("inf"))
-        assert caught == []
-
-        # The spooled container is untouched by either mutation.
-        assert CompressedProvenance.load(path, mmap=False) == artifact
+    @pytest.mark.parametrize("route", ["session", "refresh"])
+    @pytest.mark.parametrize(
+        "source", ["fresh", "json", "rpb-mmap", "rpb-read"]
+    )
+    def test_input_unchanged(self, tmp_path, source, route):
+        session, artifact = self.make_input(source, tmp_path)
+        before = self.observe(artifact, tmp_path)
+        files = {path: path.read_bytes() for path in tmp_path.glob("artifact.*")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if route == "session":
+                result = session.extend(
+                    NON_MUTATION_DELTA, artifact, drift_limit=float("inf")
+                )
+            else:
+                result = artifact.refresh(
+                    NON_MUTATION_DELTA, drift_limit=float("inf")
+                )
+        assert result.path == "repaired"
+        assert result.artifact.polynomials is not artifact.polynomials
+        assert not result.artifact.mmap_active
+        assert self.observe(artifact, tmp_path) == before
+        assert {path: path.read_bytes() for path in files} == files
+        combined = PolynomialSet(
+            list(artifact.polynomials) + list(NON_MUTATION_DELTA)
+        )
+        assert result.artifact.polynomials == abstract(
+            combined, artifact.vvs
+        )
+        assert answers_of(result.artifact) == answers_of(
+            rebuilt_same_cut(result.artifact, combined)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,46 @@ class TestEndToEnd:
         assert asyncio.run(with_server(scenario)(tmp_path)) == [
             400, 400, 400, 400, 400, 405]
 
+    def test_extend_leaves_the_old_id_as_it_was(self, tmp_path):
+        """After an extend, and after a refused one (a NaN drift limit,
+        which ``json.loads`` reads), the old id describes itself and
+        answers as before."""
+        async def scenario(server):
+            port = server.port
+            _, created = await asyncio.to_thread(
+                call, port, "POST", "/artifacts", artifact_body(bound=2))
+            artifact_id = created["id"]
+
+            async def observe():
+                described = await asyncio.to_thread(
+                    call, port, "GET", f"/artifacts/{artifact_id}")
+                asked = await asyncio.to_thread(
+                    call, port, "POST", f"/artifacts/{artifact_id}/ask",
+                    {"scenarios": SCENARIOS})
+                return described, asked
+
+            before = await observe()
+            refused = await asyncio.to_thread(
+                call, port, "POST", f"/artifacts/{artifact_id}/extend",
+                raw=b'{"polynomials": ["3*b1*m1 + b2*m2"],'
+                    b' "drift_limit": NaN}')
+            after_refusal = await observe()
+            extended = await asyncio.to_thread(
+                call, port, "POST", f"/artifacts/{artifact_id}/extend",
+                {"polynomials": ["3*b1*m1 + b2*m2"], "drift_limit": 1e9})
+            after = await observe()
+            return before, refused, after_refusal, extended, after
+
+        before, refused, after_refusal, extended, after = asyncio.run(
+            with_server(scenario)(tmp_path))
+        assert refused[0] == 400
+        assert "drift_limit" in refused[1]["error"]["message"]
+        assert extended[0] == 201
+        assert extended[1]["path"] == "repaired"
+        assert [status for status, _ in before] == [200, 200]
+        assert after_refusal == before
+        assert after == before
+
     def test_unparseable_polynomial_is_400_naming_its_index(self, tmp_path):
         async def scenario(server):
             port = server.port
