@@ -174,10 +174,8 @@ def _cmd_valuate(args):
 
 
 def _load_suite(path):
-    """Read a scenario suite: ``{"scenarios": [{name, changes}, ...]}``.
-
-    A bare JSON list of scenario objects is accepted too.
-    """
+    """Read a scenario suite: ``{"scenarios": [entry, ...]}`` or a bare
+    JSON list of entries, each read by :meth:`Scenario.from_json`."""
     with open(path) as handle:
         payload = json.load(handle)
     entries = payload.get("scenarios") if isinstance(payload, dict) else payload
@@ -186,18 +184,13 @@ def _load_suite(path):
             f"{path}: expected a list of scenarios or "
             '{"scenarios": [...]}'
         )
-    suite = ScenarioSuite()
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not isinstance(
-            entry.get("changes"), dict
-        ):
-            raise SystemExit(
-                f"{path}: scenario #{index} must be an object with a "
-                '"changes" mapping (and an optional "name")'
-            )
-        suite.add(Scenario(entry.get("name", f"scenario-{index}"),
-                           entry["changes"]))
-    return suite
+    try:
+        return ScenarioSuite([
+            Scenario.from_json(entry, index)
+            for index, entry in enumerate(entries)
+        ])
+    except ValueError as error:
+        raise SystemExit(f"{path}: {error}") from None
 
 
 def _cmd_ask(args):

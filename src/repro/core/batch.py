@@ -77,7 +77,7 @@ _MAX_BASELINE_CACHE = 32
 
 
 def _int_power(base, exps):
-    """Elementwise ``base ** exps`` for small non-negative int exponents.
+    """Elementwise ``base ** exps`` for non-negative int exponents.
 
     NumPy's ``**`` ufunc is *not* bit-reproducible across array
     groupings — the SIMD inner loop and the scalar tail can round the
@@ -86,21 +86,25 @@ def _int_power(base, exps):
     could disagree in the last bit, breaking the engines'
     bit-identity contract. Multiplication, by contrast, is correctly
     rounded per element however the array is laid out, so integer
-    powers are computed as a left-associated multiply chain
-    (``x, x·x, (x·x)·x, …``) whose per-element operation sequence
-    depends only on that element's exponent. Provenance exponents are
-    tiny (overwhelmingly 1, never negative), so the O(max exponent)
-    loop is irrelevant in practice.
+    powers are computed by square-and-multiply: pass ``k`` squares the
+    running ``base ** 2**k`` of the elements whose exponent reaches bit
+    ``k`` and multiplies it into those whose exponent has bit ``k``
+    set. Each element's operation sequence depends only on its own
+    exponent, and the number of passes is the bit length of the
+    largest exponent — 41 for ``2**40``.
 
     ``base`` may be any-dimensional with exponents aligned to its last
     axis; a fresh array is returned (``base`` is not written).
     """
-    result = base.copy()
-    result[..., exps == 0] = 1.0
+    result = numpy.ones_like(base)
+    square = base.copy()
     highest = int(exps.max()) if exps.size else 0
-    for power in range(2, highest + 1):
-        deeper = exps >= power
-        result[..., deeper] *= base[..., deeper]
+    for bit in range(highest.bit_length()):
+        if bit:
+            deeper = (exps >> bit) > 0
+            square[..., deeper] *= square[..., deeper]
+        odd = ((exps >> bit) & 1) == 1
+        result[..., odd] *= square[..., odd]
     return result
 
 
@@ -341,9 +345,9 @@ class CompiledPolynomialSet:
             numpy.arange(rows, dtype=numpy.intp) + pad_before[cm.row_poly]
         )
         coeffs = numpy.zeros(total, dtype=numpy.float64)
-        coeffs[final_idx] = numpy.asarray(
-            [float(coeff) for coeff in cm.coeffs], dtype=numpy.float64
-        )
+        # NumPy converts each int, float and Fraction as float() does,
+        # bit for bit, without a Python-level loop.
+        coeffs[final_idx] = numpy.asarray(cm.coeffs, dtype=numpy.float64)
         base_total = self.num_monomials
         self._coeffs = numpy.concatenate([self._coeffs, coeffs])
         new_starts = numpy.cumsum(numpy.maximum(poly_rows, 1))
@@ -450,15 +454,14 @@ class CompiledPolynomialSet:
     # ------------------------------------------------------------- pickling
 
     def _state(self):
-        """Portable full state for cross-process shipping.
+        """Portable full state for pickling to a spawned pool worker
+        (:mod:`repro.scenarios.parallel`).
 
         Variable ids are process-local (they index the process-wide
         interning table), so the column map travels keyed by variable
         *name* and is re-interned on arrival. Everything else is plain
         NumPy arrays and ints, so a compiled set rebuilds and then
-        evaluates identically in any process — the contract the binary
-        container format and spawned pool workers
-        (:mod:`repro.scenarios.parallel`) rely on.
+        evaluates identically in any process.
         """
         from repro.core.interning import VARIABLES
 
@@ -474,14 +477,6 @@ class CompiledPolynomialSet:
             "poly_starts": self._poly_starts,
             "layers": self._layers,
         }
-
-    @classmethod
-    def from_state(cls, state):
-        """Build a compiled set directly from a :meth:`_state` dict —
-        the binary-container load path (no PolynomialSet needed)."""
-        self = object.__new__(cls)
-        self.__setstate__(state)
-        return self
 
     def __getstate__(self):
         """Pickle as the full name-keyed :meth:`_state` — what a spawned

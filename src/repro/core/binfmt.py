@@ -4,12 +4,14 @@ The JSON envelope (:mod:`repro.core.serialize`) is the portable wire
 format, but it re-parses the whole artifact on every load — at the
 paper's "compress once, ask many" scale that parse dominates artifact
 start-up. This module defines a single-file binary container that
-loads without a parse: the columnar CSR factor arrays and the compiled
-evaluator's layer/coefficient arrays are stored as raw little-endian
-buffers at 64-byte-aligned offsets, so :func:`read_artifact` can
-``mmap`` the file, view the buffers in place and decode them into a
-plain array-backed set with a handful of array operations — no
-``Polynomial`` object is built, and the OS pages data in on demand.
+loads without a parse: the columnar CSR factor arrays are stored as raw
+little-endian buffers at 64-byte-aligned offsets, so
+:func:`read_artifact` can ``mmap`` the file, view the buffers in place
+and decode them into a plain array-backed set with a handful of array
+operations — no ``Polynomial`` object is built, and the OS pages data
+in on demand. The file stores the provenance once: the batch evaluator
+is derived data, compiled from the decoded arrays on the first ask,
+exactly as after a JSON load.
 
 Layout::
 
@@ -27,8 +29,12 @@ Layout::
 
 The container holds one kind, ``compressed_provenance``: a full
 artifact, as :meth:`CompressedProvenance.save(format="bin")
-<repro.api.artifact.CompressedProvenance.save>` writes it. The
-compiled evaluator's arrays travel inside it.
+<repro.api.artifact.CompressedProvenance.save>` writes it. Its buffers
+are the CSR arrays ``cm.vids``, ``cm.exps``, ``cm.row_starts`` and
+``cm.poly_starts`` and the coefficient buffers ``cm.coeff_kind``,
+``cm.coeff_f64`` and ``cm.coeff_i64``. Schema 1 files also carry the
+writer's compiled evaluator as ``c.*`` buffers; the reader ignores
+them.
 
 Fidelity: float coefficients are stored bit-exact in a float64 buffer,
 ints that fit in an int64 buffer, and everything else (big ints,
@@ -36,10 +42,9 @@ ints that fit in an int64 buffer, and everything else (big ints,
 loaded artifact re-serializes and evaluates identically to the JSON
 round trip. Variable names travel in the header (interned ids are
 process-local); the CSR ``vids`` are stored as file-local column
-indexes and re-interned on load. The stored evaluator multiplies each
-monomial's factors in the writer's id order, so a process whose ids
-order the variables differently compiles its own instead of adopting
-it, and answers bit for bit like a JSON load.
+indexes and re-interned on load. The arrays are the only source of the
+evaluator, so :func:`read_artifact` checks every assumption its decode
+makes and raises :class:`SerializeError` on a file that breaks one.
 
 Portability caveats: buffers are written in the native byte order
 (little-endian everywhere this project runs; the dtype strings in the
@@ -76,7 +81,11 @@ __all__ = [
 MAGIC = b"RPROVBIN"
 
 #: Container schema version (bump on incompatible layout changes).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+#: The schemas :func:`read_artifact` decodes. Schema 1 differs only by
+#: its ``c.*`` buffers and ``compiled`` header entry, which are ignored.
+_READABLE_SCHEMAS = (1, SCHEMA_VERSION)
 
 _ALIGN = 64
 _LEN_BYTES = 4
@@ -173,52 +182,24 @@ def _encode_coeffs(coeffs):
     return kinds, f64, i64, sidecar
 
 
-def _pack_compiled(layout, compiled):
-    """Add a compiled set's arrays to ``layout``; return its header meta."""
-    state = compiled._state()
-    by_name = state["columns_by_name"]
-    columns = [None] * len(by_name)
-    for name, col in by_name.items():
-        columns[col] = name
-    if any(name is None for name in columns):
-        raise SerializeError("compiled column map is not dense")
-    layout.add("c.coeffs", state["coeffs"])
-    layout.add("c.poly_starts", state["poly_starts"])
-    for j, (selector, cols, nonunit, exps) in enumerate(state["layers"]):
-        if j > 0:
-            layout.add(f"c.L{j}.sel", selector)
-        layout.add(f"c.L{j}.cols", cols)
-        layout.add(f"c.L{j}.nonunit", nonunit)
-        layout.add(f"c.L{j}.exps", exps)
-    return {
-        "columns": columns,
-        "num_polynomials": state["num_polynomials"],
-        "num_monomials": state["num_monomials"],
-        "num_variables": state["num_variables"],
-        "layers": len(state["layers"]),
-    }
-
-
 def write_artifact(artifact, path):
     """Write a :class:`~repro.api.artifact.CompressedProvenance` as a
     binary container; returns ``path``.
 
-    The artifact's compiled evaluator and columnar CSR arrays are laid
-    out as raw buffers for :func:`read_artifact`; the forest, the cut,
-    the stats and the variable names ride in the JSON header.
+    The artifact's columnar CSR arrays are laid out as raw buffers for
+    :func:`read_artifact`; the forest, the cut, the stats and the
+    variable names ride in the JSON header. Nothing is compiled: the
+    evaluator is derived from the arrays where the artifact is asked.
     """
     from repro.core import serialize
     from repro.core.interning import VARIABLES
 
     polynomials = artifact.polynomials
-    compiled = polynomials.compiled()
     cm = polynomials.columnar()
     vids = sorted(polynomials.variable_ids())
     variables = [VARIABLES.name(vid) for vid in vids]
 
     layout = _Layout()
-    compiled_meta = _pack_compiled(layout, compiled)
-
     # The CSR vids are stored as file-local column indexes (rank in the
     # sorted id list) — interned ids are process-local and meaningless
     # on disk. The header's variables list names each column.
@@ -256,7 +237,6 @@ def write_artifact(artifact, path):
             "monomials": cm.num_monomials,
         },
         "exact_coeffs": sidecar,
-        "compiled": compiled_meta,
     }
     payload = _container_bytes(header, layout)
     with open(path, "wb") as handle:
@@ -288,10 +268,10 @@ def _parse_container(buf):
         raise SerializeError(f"corrupt artifact header: {error}") from error
     if not isinstance(header, dict):
         raise SerializeError("corrupt artifact header: not an object")
-    if header.get("schema") != SCHEMA_VERSION:
+    if header.get("schema") not in _READABLE_SCHEMAS:
         raise SerializeError(
             f"unsupported container schema {header.get('schema')!r} "
-            f"(this reader handles {SCHEMA_VERSION})"
+            f"(this reader handles {', '.join(map(str, _READABLE_SCHEMAS))})"
         )
     origin = _aligned(prefix + header_len)
     data_size = header.get("data_size", 0)
@@ -340,35 +320,6 @@ def _get(arrays, name):
         raise SerializeError(
             f"container is missing buffer {name!r}"
         ) from None
-
-
-def _compiled_from(meta, arrays):
-    """A :class:`CompiledPolynomialSet` over container buffer views."""
-    from repro.core.batch import CompiledPolynomialSet
-
-    layers = []
-    for j in range(meta["layers"]):
-        selector = None if j == 0 else _get(arrays, f"c.L{j}.sel")
-        layers.append((
-            selector,
-            _get(arrays, f"c.L{j}.cols"),
-            _get(arrays, f"c.L{j}.nonunit"),
-            _get(arrays, f"c.L{j}.exps"),
-        ))
-    poly_starts = _get(arrays, "c.poly_starts")
-    if len(poly_starts) != meta["num_polynomials"] + 1:
-        raise SerializeError("inconsistent compiled poly_starts buffer")
-    return CompiledPolynomialSet.from_state({
-        "columns_by_name": {
-            name: col for col, name in enumerate(meta["columns"])
-        },
-        "num_polynomials": meta["num_polynomials"],
-        "num_monomials": meta["num_monomials"],
-        "num_variables": meta["num_variables"],
-        "coeffs": _get(arrays, "c.coeffs"),
-        "poly_starts": poly_starts,
-        "layers": layers,
-    })
 
 
 def _decode_exact(entries):
@@ -421,33 +372,59 @@ def _decode_coeffs(arrays, exact):
     return coeffs
 
 
-def _check_columnar(arrays, counts):
-    """Cheap structural consistency of the CSR buffers (fail early with
-    a clear error instead of a deep IndexError on first use)."""
+def _check_columnar(arrays, counts, num_variables):
+    """Check every assumption the decode, and the evaluator compiled
+    from its arrays, make of the CSR buffers, so that a corrupt file
+    fails at load with a :class:`SerializeError` instead of loading
+    another polynomial or raising a bare NumPy error on first use:
+
+    * the buffer lengths agree with the header's counts;
+    * ``cm.row_starts`` and ``cm.poly_starts`` start at 0, never
+      decrease, and end at the factor and the monomial count;
+    * every column names one of the header's ``num_variables``
+      variables, and each row's columns strictly increase (the writer's
+      id order, so no variable repeats in a monomial);
+    * every exponent is at least 1.
+    """
     monomials = counts["monomials"]
-    polys = counts["polynomials"]
     row_starts = _get(arrays, "cm.row_starts")
     poly_starts = _get(arrays, "cm.poly_starts")
-    vids = _get(arrays, "cm.vids")
-    tail = int(row_starts[-1]) if len(row_starts) else -1
+    cols = _get(arrays, "cm.vids")
+    exps = _get(arrays, "cm.exps")
     if (
         len(row_starts) != monomials + 1
-        or len(poly_starts) != polys + 1
-        or len(vids) != len(_get(arrays, "cm.exps"))
-        or tail != len(vids)
+        or len(poly_starts) != counts["polynomials"] + 1
+        or len(cols) != len(exps)
         or len(_get(arrays, "cm.coeff_kind")) != monomials
         or len(_get(arrays, "cm.coeff_f64")) != monomials
         or len(_get(arrays, "cm.coeff_i64")) != monomials
     ):
         raise SerializeError("inconsistent columnar buffers")
+    for name, starts, end in (
+        ("cm.row_starts", row_starts, len(cols)),
+        ("cm.poly_starts", poly_starts, monomials),
+    ):
+        if starts[0] != 0 or starts[-1] != end or (numpy.diff(starts) < 0).any():
+            raise SerializeError(
+                f"{name} must rise from 0 to {end} without decreasing"
+            )
+    if cols.size and (cols.min() < 0 or cols.max() >= num_variables):
+        raise SerializeError(
+            "column index out of range for the container's variables"
+        )
+    row_head = numpy.zeros(len(cols) + 1, dtype=bool)
+    row_head[row_starts] = True
+    if (cols[1:] <= cols[:-1])[~row_head[1:-1]].any():
+        raise SerializeError("a monomial's columns do not strictly increase")
+    if exps.size and exps.min() < 1:
+        raise SerializeError("an exponent is below 1")
 
 
 def _decode_columnar(arrays, variables, exact):
-    """``(columnar, in_order)``: the container's CSR arrays with their
-    columns re-interned, as an extraction of the materialized
-    polynomials would give them. Each row's factors are re-sorted only
-    when this process's ids do not increase in file order (``in_order``
-    is ``False``), never in the writer's own process."""
+    """The container's CSR arrays with their columns re-interned, as an
+    extraction of the materialized polynomials would give them. Each
+    row's factors are re-sorted only when this process's ids do not
+    increase in file order, never in the writer's own process."""
     from repro.core.columnar import ColumnarMultiset
     from repro.core.interning import VARIABLES
 
@@ -457,13 +434,8 @@ def _decode_columnar(arrays, variables, exact):
     ids = numpy.asarray(
         [VARIABLES.intern(name) for name in variables], dtype=numpy.intp
     )
-    if cols.size and (cols.min() < 0 or cols.max() >= len(ids)):
-        raise SerializeError(
-            "column index out of range for the container's variables"
-        )
     vids = ids[cols]
-    in_order = bool((ids[1:] > ids[:-1]).all())
-    if not in_order:
+    if not (ids[1:] > ids[:-1]).all():
         rows = numpy.repeat(
             numpy.arange(len(row_starts) - 1, dtype=numpy.intp),
             numpy.diff(row_starts),
@@ -471,11 +443,10 @@ def _decode_columnar(arrays, variables, exact):
         by_id = numpy.lexsort((vids, rows))
         vids = vids[by_id]
         exps = exps[by_id]
-    columnar = ColumnarMultiset.from_arrays(
+    return ColumnarMultiset.from_arrays(
         vids, exps, row_starts, _get(arrays, "cm.poly_starts"),
         _decode_coeffs(arrays, exact),
     )
-    return columnar, in_order
 
 
 def _load_buffer(path, use_mmap):
@@ -494,13 +465,13 @@ def _load_buffer(path, use_mmap):
 def read_artifact(path, mmap=True):
     """Load a binary artifact container written by :func:`write_artifact`.
 
-    The container decodes into a plain array-backed
+    The container's CSR arrays are checked (:func:`_check_columnar`)
+    and decode into a plain array-backed
     :class:`~repro.core.polynomial.PolynomialSet`, with no parse and no
-    ``Polynomial`` object (:func:`_decode_columnar`). The set adopts
-    the file's compiled evaluator only when it is the one this process
-    would compile — its columns are the file's variables and their ids
-    increase — and compiles its own on first use otherwise, so answers
-    never depend on the writer's interning order.
+    ``Polynomial`` object (:func:`_decode_columnar`). The set compiles
+    its evaluator on the first ask, exactly as after a JSON load, so
+    answers never depend on the writer's interning order. Schema 1
+    files load the same way; their stored evaluator is never read.
 
     ``mmap=True`` (the default) maps the file, and the arrays that need
     no decoding view the map. The map keeps the loaded bytes alive even
@@ -520,21 +491,15 @@ def read_artifact(path, mmap=True):
     arrays = _views(header, buf, origin)
     try:
         variables = header["variables"]
-        _check_columnar(arrays, header["counts"])
-        columnar, in_order = _decode_columnar(
+        _check_columnar(arrays, header["counts"], len(variables))
+        columnar = _decode_columnar(
             arrays, variables, _decode_exact(header.get("exact_coeffs", ()))
-        )
-        meta = header["compiled"]
-        compiled = (
-            _compiled_from(meta, arrays)
-            if in_order and meta["columns"] == variables
-            else None
         )
         forest = serialize.forest_from_dict(header["forest"])
         vvs = serialize.vvs_from_dict({"labels": header["vvs"]}, forest)
         stats = header["stats"]
         return CompressedProvenance(
-            PolynomialSet.from_columnar(columnar, compiled=compiled),
+            PolynomialSet.from_columnar(columnar),
             forest,
             vvs,
             algorithm=header["algorithm"],

@@ -494,14 +494,14 @@ class PolynomialSet:
         self._columnar = None
 
     @classmethod
-    def from_columnar(cls, columnar, compiled=None):
+    def from_columnar(cls, columnar):
         """A set backed by the :class:`~repro.core.columnar.ColumnarMultiset`
-        ``columnar`` (adopted, not copied), its objects built on demand,
-        and by ``compiled``, an evaluator of exactly these rows, if given."""
+        ``columnar`` (adopted, not copied), its objects built and its
+        evaluator compiled on demand."""
         self = cls.__new__(cls)
         self._polynomials = None
         self._vids = None
-        self._compiled = compiled
+        self._compiled = None
         self._columnar = columnar
         return self
 
@@ -511,9 +511,10 @@ class PolynomialSet:
         every cache built here (objects, columnar view, compiled set and
         delta index), so extending it repairs them in place."""
         copied = PolynomialSet.from_columnar(
-            None if self._columnar is None else self._columnar.copy(),
-            None if self._compiled is None else self._compiled.copy(),
+            None if self._columnar is None else self._columnar.copy()
         )
+        if self._compiled is not None:
+            copied._compiled = self._compiled.copy()
         if self._polynomials is not None:
             copied._polynomials = list(self._polynomials)
         copied._vids = self._vids

@@ -67,17 +67,18 @@ class PowGroupingChecker(Checker):
     vs. scalar tail), so a value computed inside a large dense layer
     and the same value recomputed in a small delta patch can differ in
     the last bit — breaking the engines' bit-identity contract. Inside
-    the evaluation kernels every integer power must go through the
-    ``_int_power`` left-associated multiply chain: ``**`` and
-    ``numpy.power`` are banned except between literal numbers
-    (constants like ``2**63`` are computed once, at import).
+    the evaluation kernels every integer power must go through
+    ``_int_power``, whose square-and-multiply sequence depends only on
+    each element's own exponent: ``**`` and ``numpy.power`` are banned
+    except between literal numbers (constants like ``2**63`` are
+    computed once, at import).
     """
 
     code = "RPL001"
     name = "pow-grouping"
     description = (
         "no **/numpy.power on arrays in the evaluation kernels; integer "
-        "powers go through the _int_power multiply chain"
+        "powers go through _int_power's per-element square-and-multiply"
     )
     paths = ("core/batch.py", "core/columnar.py")
 
@@ -91,7 +92,7 @@ class PowGroupingChecker(Checker):
                 yield self.finding(
                     module, node,
                     "`**` is not bit-reproducible across array groupings; "
-                    "use _int_power (left-associated multiply chain) so "
+                    "use _int_power (per-element square-and-multiply) so "
                     "dense and delta engines stay bit-identical",
                 )
             elif isinstance(node, ast.Call):

@@ -9,6 +9,7 @@ point of provisioning (§1).
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 from repro.core.valuation import Valuation
@@ -33,6 +34,51 @@ class Scenario:
     def __init__(self, name, changes):
         self.name = str(name)
         self.changes = dict(changes)
+
+    @classmethod
+    def from_json(cls, entry, index):
+        """The scenario a decoded JSON ``entry`` describes — the one
+        reader of scenario JSON, behind ``repro ask --suite`` and the
+        service's ask bodies alike.
+
+        ``entry`` is an object with a ``"changes"`` mapping of variable
+        names to finite numbers and an optional string ``"name"``
+        (default ``scenario-<index>``, also for ``null``); an object
+        with neither key is the changes itself. Anything else raises :class:`ValueError`
+        naming the entry's ``index``: a number must be finite and not a
+        boolean, so a misspelt value never reaches the evaluator.
+
+        >>> Scenario.from_json({"changes": {"m3": 0.8}}, 2)
+        Scenario('scenario-2', 1 changes)
+        >>> Scenario.from_json({"m3": True}, 0)
+        Traceback (most recent call last):
+        ValueError: scenario #0: "changes" must map variable names to finite numbers
+        """
+        if not isinstance(entry, dict):
+            changes = None
+        else:
+            changes = entry.get("changes", entry if "name" not in entry else None)
+        if not isinstance(changes, dict):
+            raise ValueError(
+                f'scenario #{index} must be an object with a "changes" '
+                'mapping (and an optional "name")'
+            )
+        if not all(
+            isinstance(variable, str)
+            and isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            # NaN, ±inf and ints past the float range all fail this.
+            and abs(value) <= sys.float_info.max
+            for variable, value in changes.items()
+        ):
+            raise ValueError(
+                f'scenario #{index}: "changes" must map variable names to '
+                "finite numbers"
+            )
+        name = entry.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f'scenario #{index}: "name" must be a string')
+        return cls(name if name is not None else f"scenario-{index}", changes)
 
     @classmethod
     def uniform(cls, name, variables, multiplier):

@@ -290,6 +290,8 @@ class WhatIfService:
     async def _ask(
         self, artifact_id: str, request: Request
     ) -> tuple[int, dict]:
+        from repro.scenarios.scenario import Scenario
+
         body = _require_object(request.json(), "ask request")
         warm = self._fetch(artifact_id)
         default = body.get("default", 1.0)
@@ -302,7 +304,7 @@ class WhatIfService:
         if "scenario" in body and "scenarios" in body:
             raise HttpError(400, "pass 'scenario' or 'scenarios', not both")
         if "scenario" in body:
-            scenario = _scenario_from(body["scenario"], index=0)
+            scenario = Scenario.from_json(body["scenario"], 0)
             answer = await self.batcher.submit(
                 (artifact_id, default),
                 scenario,
@@ -316,7 +318,7 @@ class WhatIfService:
             if not isinstance(entries, list):
                 raise HttpError(400, "'scenarios' must be a list")
             scenarios = [
-                _scenario_from(entry, index=index)
+                Scenario.from_json(entry, index)
                 for index, entry in enumerate(entries)
             ]
             answers = self._evaluate(
@@ -544,33 +546,6 @@ def _params_from(variables: object):
         return [str(row[column]) for column in variables if column in row]
 
     return params
-
-
-def _scenario_from(entry: object, index: int):
-    from repro.scenarios.scenario import Scenario
-
-    if not isinstance(entry, dict):
-        raise HttpError(
-            400,
-            "each scenario is an object with 'changes' (variable → "
-            "multiplier) and an optional 'name'",
-        )
-    changes = entry.get("changes", entry if "name" not in entry else None)
-    if not isinstance(changes, dict) or not all(
-        isinstance(variable, str)
-        and isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and -math.inf < value < math.inf  # NaN, ±Infinity
-        for variable, value in changes.items()
-    ):
-        raise HttpError(
-            400,
-            "scenario 'changes' must map variable names to finite numbers",
-        )
-    name = entry.get("name")
-    if name is not None and not isinstance(name, str):
-        raise HttpError(400, "scenario 'name' must be a string")
-    return Scenario(name if name is not None else f"scenario-{index}", changes)
 
 
 def _answer_json(answer: Answer) -> dict:

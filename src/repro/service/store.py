@@ -12,8 +12,9 @@ WarmArtifact` entries keyed by that hash. Entries are loaded with
 ``mmap``: evicting one drops its decoded arrays and lets the OS reclaim
 the page cache, and re-admitting it re-maps the file, decodes its CSR
 arrays (:func:`~repro.core.binfmt.read_artifact`, well under a
-millisecond at TPC-H scale in the writer's process) and builds the
-cut's lift index — no polynomial objects either way. Extending an
+millisecond at TPC-H scale in the writer's process), compiles its
+evaluator from them and builds the cut's lift index — no polynomial
+objects either way. Extending an
 entry extends a copy of its set, so a resident entry always answers
 as its file does. Hit/miss/eviction counters feed ``GET /healthz``.
 

@@ -106,6 +106,23 @@ class TestNormalizationEdges:
         batch = polynomials.evaluate_batch([{"x": 3.0}])
         assert batch[0, 0] == pytest.approx(1.0)
 
+    def test_coefficients_degrade_exactly_as_float_does(self):
+        """Every exact coefficient type becomes the float64 ``float()``
+        gives it, bit for bit, at the edges of each type's range."""
+        from fractions import Fraction
+
+        coefficients = [
+            Fraction(1, 3), Fraction(-(10**40 + 1), 3), 2**53 + 1,
+            2**63 + 1, -(2**70) - 12345, 7, -0.1, 5e-324, 1e308,
+        ]
+        polynomials = PolynomialSet([Polynomial.from_terms([
+            (coeff, Monomial.of(f"k{index}"))
+            for index, coeff in enumerate(coefficients)
+        ])])
+        assert polynomials.compiled()._coeffs.tolist() == [
+            float(coeff) for coeff in coefficients
+        ]
+
 
 class TestCompileCache:
     def test_compiled_is_cached(self):

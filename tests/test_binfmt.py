@@ -29,9 +29,11 @@ from repro.core.parser import parse_set
 from repro.core.polynomial import Monomial, Polynomial, PolynomialSet
 from repro.core.serialize import SerializeError
 from repro.core.tree import AbstractionTree
+from repro.options import EvalOptions
 from test_columnar import assert_same_arrays
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def make_artifact(polynomials):
@@ -135,6 +137,28 @@ class TestRoundTrip:
             path = str(tmp_path / name)
             artifact.save(path)
             assert binfmt.is_binary(path) is binary
+
+    def test_stores_the_provenance_once(self, tmp_path):
+        """The file holds the CSR arrays and no compiled evaluator, and
+        saving compiles nothing."""
+        from repro.workloads.telephony import (
+            example13_polynomials, months_tree, plans_tree,
+        )
+
+        forest = AbstractionForest([plans_tree(), months_tree()])
+        artifact = ProvenanceSession(
+            example13_polynomials(), forest
+        ).compress(bound=9)
+        path = str(tmp_path / "a.rpb")
+        artifact.save(path)
+        assert artifact.polynomials._compiled is None
+        header = file_header(path)
+        assert header["schema"] == binfmt.SCHEMA_VERSION == 2
+        assert "compiled" not in header
+        assert sorted(header["buffers"]) == [
+            "cm.coeff_f64", "cm.coeff_i64", "cm.coeff_kind", "cm.exps",
+            "cm.poly_starts", "cm.row_starts", "cm.vids",
+        ]
 
     def test_binary_smaller_or_reloadable_resave(self, artifact, tmp_path):
         """A binary-loaded artifact can itself be re-saved (both formats)
@@ -241,11 +265,23 @@ class TestRoundTripProperties:
         assert answers(from_bin, scenarios) == answers(original, scenarios)
 
 
+def buffer_view(data, name):
+    """A writable view of buffer ``name`` in ``data``, the bytes of a
+    container as a ``bytearray``."""
+    length = int.from_bytes(data[8:12], "little")
+    spec = json.loads(data[12:12 + length])["buffers"][name]
+    return numpy.frombuffer(
+        data, dtype=spec["dtype"], count=spec["count"],
+        offset=binfmt._aligned(12 + length) + spec["offset"],
+    )
+
+
 class TestCorruption:
     def save(self, artifact, tmp_path):
         path = str(tmp_path / "good.rpb")
         artifact.save(path)
-        return path, open(path, "rb").read()
+        with open(path, "rb") as handle:
+            return path, handle.read()
 
     def reload(self, tmp_path, data):
         path = str(tmp_path / "bad.rpb")
@@ -275,7 +311,7 @@ class TestCorruption:
         _, data = self.save(artifact, tmp_path)
         length = int.from_bytes(data[8:12], "little")
         header = data[12:12 + length].replace(
-            b'"schema":1', b'"schema":9'
+            b'"schema":%d' % binfmt.SCHEMA_VERSION, b'"schema":9'
         )
         assert len(header) == length
         with pytest.raises(SerializeError, match="schema"):
@@ -305,6 +341,27 @@ class TestCorruption:
         open(path, "wb").close()
         with pytest.raises(SerializeError, match="magic"):
             binfmt.read_artifact(path)
+
+    @pytest.mark.parametrize("name, index, value, match", [
+        ("cm.row_starts", 2, 1, "cm.row_starts must rise"),  # decreases
+        ("cm.row_starts", 0, 1, "cm.row_starts must rise"),  # not from 0
+        ("cm.poly_starts", 1, 99, "cm.poly_starts must rise"),  # past the end
+        ("cm.vids", 1, 0, "strictly increase"),  # row 0's columns
+        ("cm.exps", 1, -3, "exponent"),
+        ("cm.exps", 0, 0, "exponent"),
+    ])
+    def test_bad_csr_arrays(self, artifact, tmp_path, name, index, value,
+                            match):
+        """The CSR arrays are the only source of the evaluator, so a file
+        that breaks an assumption of the decode fails at load. Without
+        the checks, a decreasing ``row_starts`` entry or an exponent of
+        -3 loaded another polynomial, and a ``poly_starts`` entry past
+        the end raised NumPy's bare ``ValueError``."""
+        _, data = self.save(artifact, tmp_path)
+        data = bytearray(data)
+        buffer_view(data, name)[index] = value
+        with pytest.raises(SerializeError, match=match):
+            self.reload(tmp_path, bytes(data))
 
 
 class TestLazyMaterialization:
@@ -376,9 +433,10 @@ class TestLazyMaterialization:
     def test_views_are_read_only(self, artifact, tmp_path):
         path = str(tmp_path / "a.rpb")
         artifact.save(path)
-        compiled = CompressedProvenance.load(path).polynomials.compiled()
-        with pytest.raises(ValueError):
-            compiled._coeffs[0] = 1.0
+        columnar = CompressedProvenance.load(path).polynomials.columnar()
+        for array in (columnar.exps, columnar.row_starts, columnar.poly_starts):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 #: Compresses an artifact in a fresh process that interns the variables
@@ -415,12 +473,17 @@ def load_json_twin(path):
     return CompressedProvenance.load(path[:-len(".rpb")] + ".json", mmap=False)
 
 
-def file_variables(path):
-    """The variable names a container's header lists, in file order."""
+def file_header(path):
+    """The JSON header of the container at ``path``."""
     with open(path, "rb") as handle:
         data = handle.read()
     length = int.from_bytes(data[8:12], "little")
-    return json.loads(data[12:12 + length])["variables"]
+    return json.loads(data[12:12 + length])
+
+
+def file_variables(path):
+    """The variable names a container's header lists, in file order."""
+    return file_header(path)["variables"]
 
 
 def run_python(source, *args):
@@ -578,6 +641,77 @@ class TestForeignOrder:
             parse_set(delta), drift_limit=float("inf")
         )
         assert values(extended.artifact) == values(twin_extended.artifact)
+
+
+class TestSchema1:
+    """A schema-1 file, which also stores its writer's compiled
+    evaluator as ``c.*`` buffers, loads from its CSR arrays alone and
+    answers bit for bit like its JSON twin, even where the stored
+    evaluator disagrees with the arrays.
+
+    ``data/schema1.rpb`` and ``data/schema1.json`` were written at
+    commit 897693a, the last schema-1 writer, from the repository
+    root::
+
+        PYTHONPATH=src python - tests/data <<'EOF'
+        import sys
+        from fractions import Fraction
+        from repro.api.session import ProvenanceSession
+        from repro.core.parser import parse_set
+        from repro.core.polynomial import Monomial, Polynomial
+
+        polys = parse_set([
+            "2*v1b1*v1m1 + 3*v1b2*v1m1 + 4*v1b3*v1m2 + 5",
+            "1.5*v1b1*v1m2^3 + 0.25*v1b2*v1x + 7*v1x^2",
+        ])
+        polys.append(Polynomial.from_terms(
+            [(Fraction(1, 3), Monomial.of("v1b3", "v1x"))]
+        ))
+        forest = [("v1SB", ["v1b1", "v1b2", "v1b3"]), ("v1M", ["v1m1", "v1m2"])]
+        artifact = ProvenanceSession(polys, forest).compress(5, algorithm="greedy")
+        artifact.save(f"{sys.argv[1]}/schema1.rpb")
+        artifact.save(f"{sys.argv[1]}/schema1.json")
+        EOF
+
+    Each stale copy is ``schema1.rpb`` with one entry of the stored
+    evaluator set through :func:`buffer_view`: ``c.coeffs[1] = 1003``
+    (the 9 of ``9*v1M*v1SB``) in ``schema1-stale-coeffs.rpb``, and
+    ``c.L0.cols[0] = 7``, past the file's three columns, in
+    ``schema1-stale-cols.rpb``. A reader that answers from the stored
+    evaluator gives 1008 for the first polynomial's 14 on the first and
+    raises ``IndexError`` on the second.
+    """
+
+    SCENARIOS = [
+        {},
+        {"v1b1": 2.0, "v1m1": 0.5},
+        {"v1SB": 0.5, "v1x": 3.0},
+        {"v1b2": 1.5, "v1b3": 1.5, "v1m2": 0.25, "v1x": -2.0},
+    ]
+
+    @pytest.mark.parametrize("use_mmap", [True, False])
+    @pytest.mark.parametrize("name", [
+        "schema1.rpb", "schema1-stale-coeffs.rpb", "schema1-stale-cols.rpb",
+    ])
+    def test_answers_like_the_json_twin(self, name, use_mmap):
+        path = os.path.join(DATA, name)
+        header = file_header(path)
+        assert header["schema"] == 1
+        assert "c.coeffs" in header["buffers"]
+        loaded = CompressedProvenance.load(path, mmap=use_mmap)
+        twin = CompressedProvenance.load(os.path.join(DATA, "schema1.json"))
+        assert loaded == twin
+        assert serialize.dumps(loaded) == serialize.dumps(twin)
+        for engine in ("dense", "delta"):
+            options = EvalOptions(engine=engine)
+            assert [
+                answer.values
+                for answer in loaded.ask_many(self.SCENARIOS, options=options)
+            ] == [
+                answer.values
+                for answer in twin.ask_many(self.SCENARIOS, options=options)
+            ]
+        assert loaded.ask_many([{}])[0].values[0] == 14
 
 
 #: Coefficients per family for :data:`_DECODE_SCRIPT`: one buffer kind

@@ -57,9 +57,11 @@ class TestCompress:
         assert code == 0
         out = capsys.readouterr().out
         assert "14 -> 8" in out
-        compressed = serialize.loads(open(output).read())
+        with open(output) as handle:
+            compressed = serialize.loads(handle.read())
         assert compressed.num_monomials == 8
-        cut = json.load(open(vvs_output))
+        with open(vvs_output) as handle:
+            cut = json.load(handle)
         assert set(cut["labels"]) == {"SB", "Special", "e", "p1"}
 
     def test_greedy_compress(self, files, capsys):
@@ -244,6 +246,30 @@ class TestAsk:
         ))
         with pytest.raises(SystemExit, match='"changes" mapping'):
             main(["ask", artifact, "--suite", str(suite)])
+
+    @pytest.mark.parametrize(
+        "value", ['"abc"', "null", "true", "NaN", "Infinity", "1e999"]
+    )
+    def test_ask_rejects_bad_change_values(self, files, tmp_path, value):
+        """A change value that is not a finite number exits with one
+        line naming the entry, as the service answers it with 400."""
+        _, provenance, forest = files
+        artifact = str(tmp_path / "artifact.json")
+        main([
+            "compress", provenance, forest, "--bound", "9",
+            "--algorithm", "optimal", "--artifact", artifact,
+        ])
+        suite = tmp_path / "suite.json"
+        suite.write_text(
+            '{"scenarios": [{"changes": {"b1": 0.5}}, '
+            '{"changes": {"b1": %s}}]}' % value
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ask", artifact, "--suite", str(suite)])
+        assert str(exit_info.value) == (
+            f'{suite}: scenario #1: "changes" must map variable names to '
+            "finite numbers"
+        )
 
     def test_ask_requires_scenarios(self, files, tmp_path):
         _, provenance, forest = files

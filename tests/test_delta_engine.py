@@ -13,6 +13,9 @@ unlike it, *refuse* exact arithmetic: Fraction inputs are degraded to
 float64 identically on both engines while the scalar path stays exact.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy
@@ -30,6 +33,10 @@ from repro.scenarios.sweep import Sweep
 from repro.util.rng import derive_rng
 from repro.workloads.random_polys import random_polynomials
 
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
 
 DENSE = EvalOptions(engine="dense")
 DELTA = EvalOptions(engine="delta")
@@ -93,7 +100,7 @@ class TestBitIdentity:
         assert_engines_bit_identical(workload, scenarios)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(
+    @given(st.integers(4, 64), st.lists(
         st.dictionaries(
             st.sampled_from(["a", "b", "c", "d", "x", "y", "z", "nowhere"]),
             st.one_of(
@@ -107,12 +114,18 @@ class TestBitIdentity:
         ),
         min_size=0, max_size=12,
     ))
-    def test_property_bit_identical_and_near_scalar(self, assignments):
-        """Arbitrary float/Fraction/int families: delta == dense bitwise,
-        and both within tolerance of the scalar interpreter."""
-        polys = parse_set(
-            ["2*a*x + 3*b*x^2 + 4*c*y + 5*d*y", "6*a*z + 7*b*z", "1 + c*d"]
-        )
+    def test_property_bit_identical_and_near_scalar(
+        self, exponent, assignments
+    ):
+        """Arbitrary float/Fraction/int families and an exponent of 4–64,
+        the range where square-and-multiply regroups the products:
+        delta == dense bitwise, and both within tolerance of the scalar
+        interpreter."""
+        polys = parse_set([
+            f"2*a*x + 3*b*x^{exponent} + 4*c*y + 5*d*y",
+            "6*a*z + 7*b*z",
+            "1 + c*d",
+        ])
         values = assert_engines_bit_identical(polys, assignments)
         for row, assignment in enumerate(assignments):
             exact = polys.evaluate(assignment)
@@ -182,6 +195,25 @@ class TestEdgeCases:
             polys, [{"x": 2.0, "y": -3.0}, {"x": -1.5}, {"y": 0.0}, {}]
         )
 
+    def test_huge_exponent_takes_one_pass_per_bit(self):
+        """``x^(2**40)`` evaluates at once on both engines: the power
+        takes one pass per bit of the exponent, not one per unit. A
+        subprocess bounds the wait."""
+        code = (
+            "from repro.core.parser import parse_set\n"
+            "polys = parse_set(['2*x^1099511627776 + y'])\n"
+            "scenarios = [{'x': 1.0}, {'x': -1.0, 'y': 3.0}, {'x': 0.5}]\n"
+            "for engine in ('dense', 'delta'):\n"
+            "    print(polys.evaluate_batch(scenarios, engine=engine).tolist())\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        assert result.stdout == "[[3.0], [5.0], [1.0]]\n" * 2
+
     def test_zero_polynomial_rows(self):
         polys = PolynomialSet([Polynomial.zero(), Polynomial.variable("x")])
         values = assert_engines_bit_identical(polys, [{"x": 2.0}])
@@ -204,7 +236,7 @@ class TestEdgeCases:
         (SIMD lane vs scalar tail), so ``x**2`` computed inside a wide
         dense layer and recomputed in a narrow delta patch used to
         differ in the last bit. Powers now go through the
-        multiply-chain ``_int_power`` on both engines."""
+        multiply-only ``_int_power`` on both engines."""
         polys = parse_set(
             ["2*a*x + 3*b*x^2 + 4*c*y + 5*d*y", "6*a*z + 7*b*z", "1 + c*d"]
         )

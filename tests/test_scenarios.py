@@ -77,6 +77,34 @@ class TestScenario:
         lifted = Scenario.uniform("u", ["a", "b"], 0.9).lift(vvs)
         assert lifted["g1"] == 0.9
 
+    def test_from_json_reads_an_entry(self):
+        named = Scenario.from_json(
+            {"name": "cut", "changes": {"m1": 0.8, "m2": 2}}, 3
+        )
+        assert (named.name, named.changes) == ("cut", {"m1": 0.8, "m2": 2})
+        bare = Scenario.from_json({"m1": 0.8}, 3)
+        assert (bare.name, bare.changes) == ("scenario-3", {"m1": 0.8})
+        unnamed = Scenario.from_json({"name": None, "changes": {}}, 3)
+        assert (unnamed.name, unnamed.changes) == ("scenario-3", {})
+
+    @pytest.mark.parametrize("entry", [
+        {"changes": {"b1": "abc"}},
+        {"changes": {"b1": None}},
+        {"changes": {"b1": True}},
+        {"changes": {"b1": float("nan")}},
+        {"changes": {"b1": float("-inf")}},
+        {"changes": {"b1": 10**400}},  # no float holds it
+        {"changes": "b1=0.5"},
+        {"changes": None},
+        {"name": "no-changes"},
+        {"changes": {"b1": 0.5}, "name": 7},
+        ["b1", 0.5],
+        None,
+    ])
+    def test_from_json_refuses_a_bad_entry(self, entry):
+        with pytest.raises(ValueError, match="^scenario #4"):
+            Scenario.from_json(entry, 4)
+
     def test_suite_filters_supported(self, instance):
         _, forest = instance
         vvs = forest.vvs({"g1", "g2"})

@@ -698,6 +698,36 @@ class TestErrorPaths:
             assert status == 400
             assert "finite" in body["error"]["message"]
 
+    def test_bad_change_values_are_400(self, tmp_path):
+        """Every change value that is not a finite number gets 400 naming
+        the scenario's index, whether it comes alone or in a list — the
+        rule ``repro ask --suite`` applies too."""
+        bodies = (
+            b'{"scenario": {"changes": {"b1": %s}}}',
+            b'{"scenarios": [{"changes": {"b1": 2.0}},'
+            b' {"changes": {"m1": %s}}]}',
+        )
+
+        async def scenario(server):
+            port = server.port
+            status, created = await asyncio.to_thread(
+                call, port, "POST", "/artifacts", artifact_body())
+            ask = f"/artifacts/{created['id']}/ask"
+            replies = []
+            for literal in (b'"abc"', b"null", b"true", b"1e999", b"1" * 400):
+                for body in bodies:
+                    replies.append(await asyncio.to_thread(
+                        call, port, "POST", ask, raw=body % literal))
+            return replies
+
+        replies = asyncio.run(with_server(scenario)(tmp_path))
+        for index, (status, body) in enumerate(replies):
+            assert status == 400
+            assert body["error"]["message"] == (
+                f'ValueError: scenario #{index % 2}: "changes" must map '
+                "variable names to finite numbers"
+            )
+
     def test_infeasible_bound_is_422(self, tmp_path):
         async def scenario(server):
             # Two polynomials can never abstract below two monomials —
